@@ -9,17 +9,12 @@ re-checkable JSON certificate.
 """
 
 from .exterior import (
-    ExteriorClass,
-    IndexPermutation,
     OmegaPowerRow,
     SymmetrizationError,
     a_table,
     atilde_table,
-    omega,
     omega_power_table,
-    permutation_pullback,
     symmetrization_coefficients,
-    wedge,
 )
 from .groups import (
     HeisenbergElement,

@@ -190,9 +190,9 @@ def verify(path: str, budget: int) -> None:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = certdoc.parse_document(handle.read())
+        report = verify_document(doc, budget=budget)
     except (OSError, certdoc.ParseError) as exc:
         raise click.UsageError(f"cannot parse {path}: {exc}")
-    report = verify_document(doc, budget=budget)
     for result in report.results:
         status = "ok  " if result.passed else "FAIL"
         detail = f"  ({result.detail})" if result.detail else ""

@@ -1,15 +1,32 @@
-"""Exact exterior-algebra arithmetic on the cohomology of an even torus.
+"""Symmetrization coefficients of the Chern-cancellation step, computed in the subring y_i = u_i v_i.
 
-The ring has 2n degree-one generators ``u_1 .. u_n, v_1 .. v_n`` with
-rational coefficients.  The generator order ``u_1 < ... < u_n < v_1 < ...
-< v_n`` is fixed once and for all; every product is normalized against
-it, with the coefficient absorbing the sign of the sorting permutation.
-That gives a canonical form, so equality of classes is equality of
-coefficient dictionaries.
+The cohomology of the 2n-torus is the exterior algebra on ``u_1..u_n,
+v_1..v_n``.  Everything the construction needs lies in the subring
+generated by the degree-two classes ``y_i = u_i v_i``, which commute and
+square to zero, so the subring is ``Z[y]/(y_i^2)`` with one integer
+coefficient per subset of ``{1..n}`` (a bitmask).  Three facts reduce
+the symmetrized product to that ring:
 
-Everything here is exact: coefficients are `fractions.Fraction`, never
-floats.  Values are treated as immutable; all operations return new
-objects.
+* ``u_[k] v_[k] = eps_k y_[k]`` with ``eps_k = (-1)^(k(k-1)/2)``: moving
+  each ``v_i`` left past the ``k - i`` later ``u``'s costs that many signs.
+  The same sign relates every sorted monomial ``u_I v_I`` to ``y_I``.
+* ``omega = sum y_i``, so ``omega^m = m! e_m(y)`` by the multinomial
+  theorem for commuting nilpotents; on sorted monomials that is the
+  coefficient ``m! eps_m`` of ``omega_power_table``.
+* A permutation sigma sends ``u_[k] v_[k]`` to ``eps_k y_sigma([k])``, and
+  exactly ``k!(n-k)!`` permutations send ``[k]`` onto a given k-set S.  As
+  ``y_S^2 = 0``, the product over all n! permutations collapses to
+  ``prod_{|S|=k} (1 + c y_S)`` with ``c = eps_k k!(n-k)!``.
+
+Expanding that product, the degree-``jk`` part sums ``c^j y_T`` over the
+ways to split a jk-set T into j disjoint k-sets, of which there are
+``(jk)! / ((k!)^j j!)``.  Dividing by ``omega^(jk) = (jk)! e_(jk)(y)``
+gives the closed form ``a_{k,j} = (eps_k (n-k)!)^j / j!``.
+
+The producer reads ``a_table``/``atilde_table`` from that closed form; the
+verifier calls ``symmetrization_coefficients``, which expands the subset
+product over bitmask-indexed integers and checks that the result is a
+polynomial in omega.  All arithmetic is exact; nothing is a float.
 """
 
 from __future__ import annotations
@@ -17,250 +34,38 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
-from typing import Iterable, Iterator, Mapping
 
-#: The symmetrized product ranges over n! factors; past this the constants
-#: stop being desk-scale.  Raise explicitly rather than grinding forever.
-MAX_SYMMETRIZATION_N = 6
-
-Rational = int | Fraction
+#: The one work bound on n, for the producer's tables and the verifier's
+#: expansion alike.  Past it the bundle rank n+1 + n(n+1)/2 * n! and the
+#: threshold M(n) leave desk scale.
+MAX_SYMMETRIZATION_N = 10
 
 
 class SymmetrizationError(RuntimeError):
     """The symmetrized product left a residue outside the subring generated by omega."""
 
 
-def _sort_with_sign(indices: Iterable[int]) -> tuple[tuple[int, ...], int] | None:
-    """Sort generator indices, returning (sorted tuple, sign) or None on a repeat.
-
-    The sign is the parity of the permutation that sorts the sequence,
-    i.e. (-1)**inversions.
-    """
-    seq = list(indices)
-    inversions = 0
-    for i in range(1, len(seq)):
-        cur = seq[i]
-        j = i
-        while j > 0 and seq[j - 1] > cur:
-            seq[j] = seq[j - 1]
-            j -= 1
-            inversions += 1
-        seq[j] = cur
-    for a, b in zip(seq, seq[1:]):
-        if a == b:
-            return None
-    return tuple(seq), (-1 if inversions % 2 else 1)
+def _check_cap(n: int) -> None:
+    if n > MAX_SYMMETRIZATION_N:
+        raise ValueError(f"n={n} exceeds the symmetrization cap {MAX_SYMMETRIZATION_N}")
 
 
-class ExteriorClass:
-    """An element of the exterior algebra on ``u_1..u_n, v_1..v_n``.
-
-    ``terms`` maps sorted tuples of generator indices (0-based; ``u_i`` is
-    index ``i-1``, ``v_i`` is index ``n+i-1``) to nonzero Fractions.  The
-    empty tuple is the coefficient of 1.
-    """
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: Mapping[tuple[int, ...], Rational] | None = None):
-        if n < 1:
-            raise ValueError("n must be at least 1")
-        clean: dict[tuple[int, ...], Fraction] = {}
-        for key, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            if any(g < 0 or g >= 2 * n for g in key):
-                raise ValueError(f"generator index out of range for n={n}: {key}")
-            sorted_key = _sort_with_sign(key)
-            if sorted_key is None:
-                continue
-            key2, sign = sorted_key
-            new = clean.get(key2, Fraction(0)) + sign * coeff
-            if new:
-                clean[key2] = new
-            else:
-                clean.pop(key2, None)
-        self.n = n
-        self.terms = clean
-
-    # -- constructors ------------------------------------------------
-
-    @classmethod
-    def zero(cls, n: int) -> "ExteriorClass":
-        return cls(n, {})
-
-    @classmethod
-    def one(cls, n: int) -> "ExteriorClass":
-        return cls(n, {(): 1})
-
-    @classmethod
-    def u(cls, n: int, i: int) -> "ExteriorClass":
-        """The degree-one generator u_i, 1 <= i <= n."""
-        if not 1 <= i <= n:
-            raise ValueError(f"u_{i} undefined for n={n}")
-        return cls(n, {(i - 1,): 1})
-
-    @classmethod
-    def v(cls, n: int, i: int) -> "ExteriorClass":
-        """The degree-one generator v_i, 1 <= i <= n."""
-        if not 1 <= i <= n:
-            raise ValueError(f"v_{i} undefined for n={n}")
-        return cls(n, {(n + i - 1,): 1})
-
-    # -- ring operations ----------------------------------------------
-
-    def __add__(self, other: "ExteriorClass | Rational") -> "ExteriorClass":
-        if isinstance(other, (int, Fraction)):
-            other = ExteriorClass(self.n, {(): other})
-        if not isinstance(other, ExteriorClass):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError(f"mismatched n: {self.n} vs {other.n}")
-        merged = dict(self.terms)
-        for key, coeff in other.terms.items():
-            new = merged.get(key, Fraction(0)) + coeff
-            if new:
-                merged[key] = new
-            else:
-                merged.pop(key, None)
-        out = ExteriorClass.zero(self.n)
-        out.terms = merged
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "ExteriorClass":
-        out = ExteriorClass.zero(self.n)
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other: "ExteriorClass | Rational") -> "ExteriorClass":
-        if isinstance(other, (int, Fraction)):
-            other = ExteriorClass(self.n, {(): other})
-        return self + (-other)
-
-    def __rsub__(self, other: Rational) -> "ExteriorClass":
-        return ExteriorClass(self.n, {(): other}) - self
-
-    def __mul__(self, other: "ExteriorClass | Rational") -> "ExteriorClass":
-        if isinstance(other, (int, Fraction)):
-            scalar = Fraction(other)
-            out = ExteriorClass.zero(self.n)
-            if scalar:
-                out.terms = {k: c * scalar for k, c in self.terms.items()}
-            return out
-        if not isinstance(other, ExteriorClass):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError(f"mismatched n: {self.n} vs {other.n}")
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for ka, ca in self.terms.items():
-            set_a = set(ka)
-            for kb, cb in other.terms.items():
-                if set_a & set(kb):
-                    continue
-                # both halves are sorted, so counting the pairs (a, b)
-                # with b < a gives the merge sign directly
-                inversions = 0
-                for a in ka:
-                    for b in kb:
-                        if b < a:
-                            inversions += 1
-                key = _sort_with_sign(ka + kb)
-                assert key is not None
-                merged, _ = key
-                sign = -1 if inversions % 2 else 1
-                new = acc.get(merged, Fraction(0)) + sign * ca * cb
-                if new:
-                    acc[merged] = new
-                else:
-                    acc.pop(merged, None)
-        out = ExteriorClass.zero(self.n)
-        out.terms = acc
-        return out
-
-    def __rmul__(self, other: Rational) -> "ExteriorClass":
-        return self * other
-
-    def __pow__(self, exponent: int) -> "ExteriorClass":
-        if exponent < 0:
-            raise ValueError("negative powers are undefined here")
-        result = ExteriorClass.one(self.n)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    # -- inspection ----------------------------------------------------
-
-    def degree_part(self, degree: int) -> "ExteriorClass":
-        out = ExteriorClass.zero(self.n)
-        out.terms = {k: c for k, c in self.terms.items() if len(k) == degree}
-        return out
-
-    def coefficient(self, key: tuple[int, ...]) -> Fraction:
-        sorted_key = _sort_with_sign(key)
-        if sorted_key is None:
-            return Fraction(0)
-        k, sign = sorted_key
-        return sign * self.terms.get(k, Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def max_degree(self) -> int:
-        return max((len(k) for k in self.terms), default=0)
-
-    def is_integral(self) -> bool:
-        """True when every coefficient is an integer."""
-        return all(c.denominator == 1 for c in self.terms.values())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = ExteriorClass(self.n, {(): other})
-        if not isinstance(other, ExteriorClass):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        names = []
-        for key in sorted(self.terms, key=lambda k: (len(k), k)):
-            coeff = self.terms[key]
-            mono = "*".join(
-                f"u{g + 1}" if g < self.n else f"v{g - self.n + 1}" for g in key
-            )
-            names.append(f"{coeff}" if not mono else f"{coeff}*{mono}")
-        return " + ".join(names)
+def _sign(k: int) -> int:
+    """eps_k = (-1)^(k(k-1)/2), the sign of u_[k] v_[k] against y_[k]."""
+    return -1 if k * (k - 1) // 2 % 2 else 1
 
 
-def wedge(a: ExteriorClass, b: ExteriorClass) -> ExteriorClass:
-    """Graded-commutative product; the sign comes from merging sorted generator lists."""
-    return a * b
-
-
-def omega(n: int) -> ExteriorClass:
-    """The standard degree-two class: the sum of u_i*v_i over i."""
-    return ExteriorClass(n, {(i, n + i): 1 for i in range(n)})
-
-
-def _uv_key(n: int, subset: tuple[int, ...]) -> tuple[int, ...]:
-    """Sorted generator tuple of u_I * v_I for a 0-based index subset I."""
-    return tuple(sorted(subset)) + tuple(n + i for i in sorted(subset))
+def _subset_masks(n: int, size: int) -> list[int]:
+    return [sum(1 << i for i in subset) for subset in itertools.combinations(range(n), size)]
 
 
 @dataclass(frozen=True)
 class OmegaPowerRow:
-    """One row of the omega-power table.
+    """One row of the omega-power table: omega**k == coefficient * sum_{|I|=k} u_I*v_I (sorted).
 
-    ``coefficient`` is the directly expanded coefficient c_k with
-    omega**k == c_k * sum_{|I|=k} u_I*v_I (sorted monomials).  The
-    commonly quoted closed form ``(-1)**k * n!/(n-k)!`` is recorded in
-    ``closed_form_coefficient`` for comparison only; direct expansion is
-    authoritative (the two disagree, see ``matches_closed_form``).
+    The commonly quoted closed form ``(-1)**k * n!/(n-k)!`` is kept in
+    ``closed_form_coefficient`` for comparison only; see ``matches_closed_form``.
     """
 
     k: int
@@ -272,140 +77,65 @@ class OmegaPowerRow:
         return self.coefficient == self.closed_form_coefficient
 
 
-@lru_cache(maxsize=None)
-def _omega_power(n: int, k: int) -> ExteriorClass:
-    return omega(n) ** k
-
-
 def omega_power_table(n: int) -> list[OmegaPowerRow]:
-    """Expand omega**k for k = 1..n and read off the uniform monomial coefficient.
-
-    Raises if any power fails to be a uniform combination of the sorted
-    monomials u_I*v_I (it never does; the check guards the expansion).
-    """
-    rows = []
-    for k in range(1, n + 1):
-        power = _omega_power(n, k)
-        expected_keys = {_uv_key(n, subset) for subset in itertools.combinations(range(n), k)}
-        if set(power.terms) != expected_keys:
-            raise SymmetrizationError(
-                f"omega^{k} at n={n} is not supported on the u_I*v_I monomials"
-            )
-        coeffs = {power.terms[key] for key in expected_keys}
-        if len(coeffs) != 1:
-            raise SymmetrizationError(
-                f"omega^{k} at n={n} has non-uniform monomial coefficients {coeffs}"
-            )
-        closed = Fraction((-1) ** k * factorial(n), factorial(n - k))
-        rows.append(OmegaPowerRow(k=k, coefficient=coeffs.pop(), closed_form_coefficient=closed))
-    return rows
-
-
-@dataclass(frozen=True)
-class IndexPermutation:
-    """A permutation of {1..n}, stored as the tuple of images (sigma(1), ..., sigma(n))."""
-
-    sigma: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.sigma)
-        if sorted(self.sigma) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.sigma}")
-
-    @property
-    def n(self) -> int:
-        return len(self.sigma)
-
-    @classmethod
-    def identity(cls, n: int) -> "IndexPermutation":
-        return cls(tuple(range(1, n + 1)))
-
-    @classmethod
-    def iter_all(cls, n: int) -> Iterator["IndexPermutation"]:
-        for images in itertools.permutations(range(1, n + 1)):
-            yield cls(images)
-
-    def __call__(self, i: int) -> int:
-        return self.sigma[i - 1]
-
-
-def permutation_pullback(c: ExteriorClass, perm: IndexPermutation) -> ExteriorClass:
-    """Apply u_i -> u_{sigma(i)}, v_i -> v_{sigma(i)} and re-sort each monomial.
-
-    This is a ring homomorphism and fixes omega.
-    """
-    if perm.n != c.n:
-        raise ValueError(f"permutation of [{perm.n}] applied to a class with n={c.n}")
-    n = c.n
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for key, coeff in c.terms.items():
-        mapped = tuple(
-            perm(g + 1) - 1 if g < n else n + perm(g - n + 1) - 1 for g in key
+    """The uniform sorted-monomial coefficient k! * eps_k of omega**k, for k = 1..n."""
+    return [
+        OmegaPowerRow(
+            k=k,
+            coefficient=Fraction(factorial(k) * _sign(k)),
+            closed_form_coefficient=Fraction((-1) ** k * factorial(n), factorial(n - k)),
         )
-        sorted_key = _sort_with_sign(mapped)
-        assert sorted_key is not None  # bijections never create repeats
-        k2, sign = sorted_key
-        new = acc.get(k2, Fraction(0)) + sign * coeff
-        if new:
-            acc[k2] = new
-        else:
-            acc.pop(k2, None)
-    out = ExteriorClass.zero(n)
-    out.terms = acc
-    return out
+        for k in range(1, n + 1)
+    ]
 
 
 def symmetrization_coefficients(n: int, k: int) -> list[Fraction]:
-    """Coefficients a_{k,j} with prod_sigma (1 + pullback_sigma(u_[k]*v_[k])) = 1 + sum_j a_{k,j} omega^(jk).
+    """a_{k,1..n//k} by expanding prod_{|S|=k} (1 + eps_k k!(n-k)! y_S) over subsets.
 
-    The product runs over all n! permutations and is rewritten in powers
-    of omega by solving against the directly expanded omega-power basis.
-    Two facts are enforced, not assumed: the residue outside the omega
-    subring must vanish, and a_{k,1} must be nonzero.  Either failure
-    aborts with SymmetrizationError.
+    Each term is a bitmask of the y_i it contains.  The result must be
+    1 plus a uniform multiple of e_{jk}(y) for each j, and a_{k,1} must be
+    nonzero; anything else raises SymmetrizationError.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if n > MAX_SYMMETRIZATION_N:
-        raise ValueError(
-            f"n={n} exceeds the symmetrization cap {MAX_SYMMETRIZATION_N} "
-            f"(the product has n! factors)"
-        )
-    base = ExteriorClass(n, {_uv_key(n, tuple(range(k))): 1})
-    product = ExteriorClass.one(n)
-    for perm in IndexPermutation.iter_all(n):
-        product = product * (1 + permutation_pullback(base, perm))
+    _check_cap(n)
+    c = _sign(k) * factorial(k) * factorial(n - k)
+    terms = {0: 1}
+    for block in _subset_masks(n, k):
+        # targets contain the block and sources miss it, so updating in place is safe
+        for mask, coeff in list(terms.items()):
+            if not mask & block:
+                terms[mask | block] = terms.get(mask | block, 0) + c * coeff
 
-    residual = product - 1
-    coefficients: list[Fraction] = []
+    constant = terms.pop(0)
+    coefficients = []
     for j in range(1, n // k + 1):
-        power = _omega_power(n, j * k)
-        probe_key = next(iter(power.terms))
-        a_kj = residual.terms.get(probe_key, Fraction(0)) / power.terms[probe_key]
-        coefficients.append(a_kj)
-        residual = residual - a_kj * power
-    if not residual.is_zero():
-        raise SymmetrizationError(
-            f"symmetrized product at (n={n}, k={k}) is not a polynomial in omega; "
-            f"residual {residual!r}"
-        )
+        row = {terms.pop(mask, 0) for mask in _subset_masks(n, j * k)}
+        if len(row) != 1:
+            raise SymmetrizationError(
+                f"degree-{j * k} part at (n={n}, k={k}) is not a multiple of e_{j * k}(y)"
+            )
+        coefficients.append(Fraction(row.pop(), factorial(j * k)))
+    if constant != 1 or any(terms.values()):
+        raise SymmetrizationError(f"symmetrized product at (n={n}, k={k}) is not a polynomial in omega")
     if coefficients[0] == 0:
         raise SymmetrizationError(f"leading coefficient a_{{{k},1}} vanished at n={n}")
     return coefficients
 
 
-@lru_cache(maxsize=None)
-def _a_table_cached(n: int) -> tuple[tuple[int, int, Fraction], ...]:
-    rows = []
+def _closed_form(n: int, scaled: bool) -> dict[tuple[int, int], Fraction]:
+    _check_cap(n)
+    table = {}
     for k in range(1, n + 1):
-        for j, a in enumerate(symmetrization_coefficients(n, k), start=1):
-            rows.append((k, j, a))
-    return tuple(rows)
+        base = _sign(k) * factorial(n - k) * (factorial(k - 1) if scaled else 1)
+        for j in range(1, n // k + 1):
+            table[(k, j)] = Fraction(base**j, factorial(j))
+    return table
 
 
 def a_table(n: int) -> dict[tuple[int, int], Fraction]:
-    """Raw symmetrization coefficients a_{k,j} for all 1 <= k <= n, 1 <= j <= n//k."""
-    return {(k, j): a for k, j, a in _a_table_cached(n)}
+    """Raw symmetrization coefficients a_{k,j} = (eps_k (n-k)!)^j / j!, 1 <= k <= n, 1 <= j <= n//k."""
+    return _closed_form(n, scaled=False)
 
 
 def atilde_table(n: int) -> dict[tuple[int, int], Fraction]:
@@ -416,7 +146,4 @@ def atilde_table(n: int) -> dict[tuple[int, int], Fraction]:
     of the symmetrized rank-k*n! bundle reads 1 + sum_j delta^j
     atilde_{k,j} omega^(jk).
     """
-    return {
-        (k, j): Fraction(factorial(k - 1)) ** j * a
-        for (k, j), a in a_table(n).items()
-    }
+    return _closed_form(n, scaled=True)

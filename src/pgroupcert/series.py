@@ -179,7 +179,7 @@ def line_power_chern(n: int, p: int, m: int) -> BundleDescriptor:
 def chern_F(n: int, k: int, delta: int) -> BundleDescriptor:
     """Symmetrized bundle of rank k*n! with Chern coefficients delta^j * atilde_{k,j} at omega^(jk).
 
-    The atilde values come from the exterior-algebra symmetrization; the
+    The atilde values come from the closed-form symmetrization table; the
     result is checked to be an integral class (it always is for integer
     delta, since it is a product of integral classes).
     """

@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import factorial, gcd
 
 from . import primes
-from .exterior import atilde_table, omega_power_table
+from .exterior import MAX_SYMMETRIZATION_N, atilde_table, omega_power_table
 from .groups import max_abelian_exponent
 from .products import isotropy_free_dimension
 from .series import (
@@ -196,6 +196,8 @@ def compute_M(n: int) -> int:
     """The divisibility threshold M(n); deterministic in n alone (no p involved)."""
     if n < 1:
         raise PreconditionError("n must be at least 1")
+    if n > MAX_SYMMETRIZATION_N:
+        raise PreconditionError(f"n={n} exceeds the supported maximum {MAX_SYMMETRIZATION_N}")
     return _m_chain(n)[0]
 
 

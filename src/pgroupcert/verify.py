@@ -1,16 +1,19 @@
 """Independent re-checking of stored certificate documents.
 
 The verifier trusts nothing but the raw integers in the document: it
-re-derives the symmetrization table by direct exterior-algebra
-expansion, re-runs the divisibility recursion for M, re-evaluates the
-symmetric functions, re-multiplies the Chern product, re-checks matrix
-congruences and re-runs the isotropic-subspace enumerations.  It never
-calls the producing solver; only the ring/enumeration primitives are
-shared.
+re-derives the symmetrization table by expanding the subset product
+prod_{|S|=k} (1 + eps_k k!(n-k)! y_S) in the subring y_i = u_i v_i (the
+producer reads the same table from its closed form instead), re-runs the
+divisibility recursion for M, re-evaluates the symmetric functions,
+re-multiplies the Chern product, re-checks matrix congruences and re-runs
+the isotropic-subspace enumerations.  It never calls the producing
+solver; only the series/enumeration primitives are shared.
 
 A content digest binds each document.  Checks that would be expensive to
 re-run are skipped (and reported as not run) once the digest has already
-failed, since the document is rejected either way.
+failed, since the document is rejected either way.  The digest is not a
+signature, though, so the size parameter n of construction and prime
+documents is bounded before any arithmetic depends on it.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .certdoc import (
     decode_series,
     document_digestable,
 )
-from .exterior import MAX_SYMMETRIZATION_N, atilde_table
+from .exterior import MAX_SYMMETRIZATION_N, SymmetrizationError, symmetrization_coefficients
 from .groups import brute_force_lambda, max_abelian_exponent
 from .series import OmegaSeries
 from .symplectic import (
@@ -88,6 +91,15 @@ def _recompute_m(n: int, table: dict[tuple[int, int], Fraction]) -> int:
     return chain[1]
 
 
+def _rederive_atilde(n: int) -> dict[tuple[int, int], Fraction]:
+    """atilde_{k,j} = ((k-1)!)^j * a_{k,j}, with a_{k,j} from the subset expansion."""
+    return {
+        (k, j): Fraction(factorial(k - 1)) ** j * a
+        for k in range(1, n + 1)
+        for j, a in enumerate(symmetrization_coefficients(n, k), start=1)
+    }
+
+
 def _isotropy_free_dimension(n: int, r: int) -> int:
     return 4 * n // r + 2
 
@@ -125,8 +137,10 @@ def verify_document(
             results.extend(_verify_prime(doc["certificate"]))
         else:
             results.append(CheckResult("kind", False, f"unknown document kind {kind!r}"))
-    except ParseError as exc:
+    except ParseError:
         raise
+    except SymmetrizationError as exc:
+        results.append(CheckResult("atilde_table", False, str(exc)))
     except (KeyError, TypeError, ValueError) as exc:
         results.append(CheckResult("well_formed", False, f"malformed certificate: {exc}"))
     return VerificationReport(kind=str(kind), results=results)
@@ -147,6 +161,16 @@ def _verify_construction(cert: dict, digest_ok: bool, budget: int) -> list[Check
     out: list[CheckResult] = []
     n = decode_int(cert["n"])
     r = decode_int(cert["r"])
+    n_ok = 1 <= n <= MAX_SYMMETRIZATION_N
+    out.append(
+        _check(
+            "params",
+            n_ok and r >= 1,
+            f"bad parameters n={n}, r={r} (need 1 <= n <= {MAX_SYMMETRIZATION_N}, r >= 1)",
+        )
+    )
+    if not n_ok:
+        return out
     p = decode_int(cert["p"])
     M = decode_int(cert["M"])
     residues = decode_int_list(cert["residues"])
@@ -156,7 +180,6 @@ def _verify_construction(cert: dict, digest_ok: bool, budget: int) -> list[Check
     delta = decode_int_list(cert["delta"])
     q = p**n
 
-    out.append(_check("params", n >= 1 and r >= 1, f"bad parameters n={n}, r={r}"))
     out.append(
         _check(
             "prime",
@@ -165,11 +188,7 @@ def _verify_construction(cert: dict, digest_ok: bool, budget: int) -> list[Check
         )
     )
 
-    if n > MAX_SYMMETRIZATION_N:
-        out.append(CheckResult("atilde_table", False, f"n={n} beyond re-derivation cap"))
-        return out
-
-    fresh_table = atilde_table(n)
+    fresh_table = _rederive_atilde(n)
     stored_table = {
         (decode_int(e["k"]), decode_int(e["j"])): decode_fraction(e["value"])
         for e in cert["atilde"]
@@ -178,7 +197,7 @@ def _verify_construction(cert: dict, digest_ok: bool, budget: int) -> list[Check
         _check(
             "atilde_table",
             stored_table == fresh_table,
-            "stored symmetrization table disagrees with direct expansion",
+            "stored symmetrization table disagrees with the subset expansion",
         )
     )
 
@@ -502,15 +521,15 @@ def _verify_lambda_table(cert: dict) -> list[CheckResult]:
 def _verify_prime(cert: dict) -> list[CheckResult]:
     out: list[CheckResult] = []
     n = decode_int(cert["n"])
+    if not 1 <= n <= MAX_SYMMETRIZATION_N:
+        out.append(CheckResult("M", False, f"n={n} is outside 1..{MAX_SYMMETRIZATION_N}"))
+        return out
     h = decode_int(cert["h"])
     min_p = decode_int(cert["min"])
     p = decode_int(cert["prime"])
     M = decode_int(cert["M"])
 
-    if n > MAX_SYMMETRIZATION_N:
-        out.append(CheckResult("M", False, f"n={n} beyond re-derivation cap"))
-        return out
-    fresh_m = _recompute_m(n, atilde_table(n))
+    fresh_m = _recompute_m(n, _rederive_atilde(n))
     out.append(_check("M", M == fresh_m, f"stored M={M}, recomputed {fresh_m}"))
 
     qualifies = (

@@ -13,8 +13,9 @@ from fractions import Fraction
 
 import pytest
 
+from exterior_oracle import omega
 from pgroupcert import certdoc
-from pgroupcert.exterior import omega, omega_power_table
+from pgroupcert.exterior import omega_power_table
 from pgroupcert.groups import (
     brute_force_lambda,
     enumerate_group,
@@ -77,6 +78,30 @@ def test_c1_chern_cancellation(chern_certificates):
         "C1",
         elapsed < 10.0,
         f"Chern product exactly 1 for {cases} in {elapsed:.2f}s (< 10s)",
+    )
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_c1_chern_cancellation_beyond_n6(n):
+    # the closed-form tables lift the old n <= 6 cap; certify -> serialize -> verify
+    start = time.perf_counter()
+    p = find_prime(n)
+    cert = certify(n, 1, p)
+    assert cert.chern_product.is_one() and cert.overall_pass
+    doc = certdoc.build_document(
+        "construction",
+        "certify",
+        {"n": n, "r": 1, "p": p, "lifts": "nonneg"},
+        certdoc.construction_payload(cert),
+    )
+    report = verify_document(certdoc.parse_document(certdoc.serialize_document(doc)))
+    assert report.ok, report.failures()
+    elapsed = time.perf_counter() - start
+    _announce(
+        "C1",
+        elapsed < 10.0,
+        f"n={n}, p={p}, M={cert.M}: Chern product exactly 1, document re-verified "
+        f"in {elapsed:.2f}s (< 10s)",
     )
 
 
@@ -302,7 +327,7 @@ def test_c8_property_suites(chern_certificates):
             assert (s * s.inverse()).is_one()
 
     # pullback multiplicativity, n <= 4
-    from pgroupcert.exterior import IndexPermutation, permutation_pullback
+    from exterior_oracle import IndexPermutation, permutation_pullback
 
     for n in range(1, 5):
         perms = list(IndexPermutation.iter_all(n))

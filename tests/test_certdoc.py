@@ -110,3 +110,32 @@ def test_sorted_keys_in_serialization():
         if k in ("certificate", "command", "digest", "generated_at", "kind", "schema_version", "seed")
     ]
     assert top_level == sorted(top_level)
+
+
+# Full digests of the construction documents, pinned so that changes to how
+# the tables are computed cannot silently change a certificate.
+GOLDEN_DIGESTS = {
+    (1, 1, 3, "nonneg"): "bba3f0f97ecaba7ed511618a5324d176c3e96b428dac56e8682a94a10d4fde4b",
+    (1, 2, 3, "symmetric"): "be00fd00d0d73804150ecacb2078a79c5ce094f67a15c908a0b92f6e11e2f20d",
+    (2, 1, 7, "nonneg"): "b1a7f9d3d403357f69fc6eb95fac9ab3e3cf92964fcd90db08c41aa9847d622f",
+    (2, 2, 7, "symmetric"): "db0ff455c0d438bf3cf31601609a7ca1cd487d575d4b8c349727ca7a94e9fa0c",
+    (3, 1, 13, "nonneg"): "679f4549336efb6ff7c822ef4622aba562b5567b9289ea10bac02071eef5719d",
+    (3, 2, 13, "symmetric"): "b9ab0919c17390d26062d477e872de746267bfd7445f81e413107af564a1680d",
+    (4, 1, 11, "nonneg"): "531118041d5889ace8f758c0247485d2ef6c63d8dc50a76bcc8654aa9998137e",
+    (4, 2, 11, "symmetric"): "05d6b0f9179bf4e32386acbddba6f353b725f2e8d4193e5b0b246ebee5aafc82",
+    (5, 1, 127, "nonneg"): "90a24c6441d3828eb3d20fccc67c1738a4ed1c69992a35993c6726819d61c790",
+    (5, 2, 127, "symmetric"): "d47bc563927556e1dccd3306e4a30bf4960c390aef73e340e0bb31fd24ce03fe",
+    (6, 1, 127, "nonneg"): "8bf00038b6375489e0feedde44322a6b45ddacaba2f5a667a1fe406ff1c8ab74",
+    (6, 2, 127, "symmetric"): "f250382b5915a01c06fb079991ab5a1476d3d02b2132d37ebb8c2476460627d8",
+}
+
+
+@pytest.mark.parametrize("n,r,p,lift", sorted(GOLDEN_DIGESTS))
+def test_golden_construction_digests(n, r, p, lift):
+    doc = certdoc.build_document(
+        kind="construction",
+        command="certify",
+        params={"n": n, "r": r, "p": p, "lifts": lift},
+        certificate=certdoc.construction_payload(certify(n, r, p, lift=lift)),
+    )
+    assert doc["digest"] == GOLDEN_DIGESTS[(n, r, p, lift)]

@@ -5,7 +5,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from pgroupcert import certdoc
 from pgroupcert.cli import main
+from pgroupcert.exterior import MAX_SYMMETRIZATION_N
 
 
 @pytest.fixture()
@@ -149,3 +151,29 @@ def test_find_prime(runner):
 def test_usage_error_on_missing_flags(runner):
     assert runner.invoke(main, ["certify"]).exit_code == 2
     assert runner.invoke(main, ["verify", "/nonexistent/file.json"]).exit_code == 2
+
+
+def test_certify_rejects_n_over_cap(runner):
+    result = runner.invoke(main, ["certify", "--n", str(MAX_SYMMETRIZATION_N + 1), "--p", "3"])
+    assert result.exit_code == 2
+    assert "exceeds" in result.output
+    result = runner.invoke(main, ["certify", "--n", str(MAX_SYMMETRIZATION_N + 1)])
+    assert result.exit_code == 2
+
+
+def test_find_prime_rejects_n_over_cap(runner):
+    result = runner.invoke(main, ["find-prime", "--n", str(MAX_SYMMETRIZATION_N + 1)])
+    assert result.exit_code == 2
+    assert "exceeds" in result.output
+
+
+def test_verify_malformed_field_is_usage_error(runner, tmp_path):
+    out = tmp_path / "cert.json"
+    runner.invoke(main, ["certify", "--n", "1", "--r", "1", "--p", "3", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    doc["certificate"]["n"] = "abc"
+    doc["digest"] = certdoc.compute_digest(certdoc.document_digestable(doc))
+    out.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["verify", str(out)])
+    assert result.exit_code == 2
+    assert "bad integer literal" in result.output

@@ -3,23 +3,27 @@
 import itertools
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgroupcert.exterior import (
+from exterior_oracle import (
     ExteriorClass,
     IndexPermutation,
+    omega,
+    oracle_symmetrization_coefficients,
+    permutation_pullback,
+    wedge,
+)
+from pgroupcert.exterior import (
+    MAX_SYMMETRIZATION_N,
     SymmetrizationError,
     a_table,
     atilde_table,
-    omega,
     omega_power_table,
-    permutation_pullback,
     symmetrization_coefficients,
-    wedge,
 )
 
 F = Fraction
@@ -259,7 +263,38 @@ def test_symmetrization_leading_coefficient_nonzero(n):
 
 def test_symmetrization_cap():
     with pytest.raises(ValueError):
-        symmetrization_coefficients(7, 1)
+        symmetrization_coefficients(MAX_SYMMETRIZATION_N + 1, 1)
+
+
+def test_tables_cap():
+    with pytest.raises(ValueError):
+        a_table(MAX_SYMMETRIZATION_N + 1)
+    with pytest.raises(ValueError):
+        atilde_table(MAX_SYMMETRIZATION_N + 1)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_SYMMETRIZATION_N + 1))
+def test_closed_form_matches_subset_expansion(n):
+    table = a_table(n)
+    for k in range(1, n + 1):
+        assert symmetrization_coefficients(n, k) == [table[(k, j)] for j in range(1, n // k + 1)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_closed_form_matches_permutation_product(n):
+    table = a_table(n)
+    for k in range(1, n + 1):
+        assert oracle_symmetrization_coefficients(n, k) == [
+            table[(k, j)] for j in range(1, n // k + 1)
+        ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_omega_power_table_matches_expansion(n):
+    for row in omega_power_table(n):
+        power = omega(n) ** row.k
+        assert set(power.terms.values()) == {row.coefficient}
+        assert len(power.terms) == comb(n, row.k)
 
 
 def test_atilde_scaling():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgroupcert.exterior import ExteriorClass, omega
+from exterior_oracle import ExteriorClass, omega
 from pgroupcert.series import (
     BundleDescriptor,
     OmegaSeries,
@@ -106,7 +106,7 @@ def test_chern_F_always_integral_class(n):
 def test_chern_F_matches_exterior_expansion(n, k, delta):
     # independent route: expand the series back into the exterior algebra and
     # compare with the product over all permutation pullbacks
-    from pgroupcert.exterior import IndexPermutation, permutation_pullback
+    from exterior_oracle import IndexPermutation, permutation_pullback
 
     series = chern_F(n, k, delta).chern
     as_class = ExteriorClass.zero(n)

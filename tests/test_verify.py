@@ -1,11 +1,13 @@
 """Producer-checker consistency and mutation rejection."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
 from pgroupcert import certdoc
+from pgroupcert.exterior import MAX_SYMMETRIZATION_N
 from pgroupcert.groups import brute_force_lambda, group_order, max_abelian_exponent
 from pgroupcert.products import olshanskii_search, product_subgroup_bound
 from pgroupcert.solver import certify, compute_M, epsilon_witness, find_prime, lambda_table
@@ -171,3 +173,27 @@ def test_unknown_kind_rejected():
     doc = certdoc.build_document("nonsense", "x", {}, {})
     report = verify_document(doc)
     assert not report.ok
+
+
+def prime_doc(n):
+    p = find_prime(n)
+    return certdoc.build_document(
+        "prime",
+        "find-prime",
+        {"n": n, "h": 1, "min": 1, "ceiling": 10**6},
+        certdoc.prime_payload(n, 1, 1, 10**6, p, compute_M(n)),
+    )
+
+
+@pytest.mark.parametrize("make_doc", [lambda: construction_doc(2, 1, 7), lambda: prime_doc(2)])
+@pytest.mark.parametrize("n", [10**9, MAX_SYMMETRIZATION_N + 1, 0, -3])
+def test_out_of_range_n_is_rejected_before_any_arithmetic(make_doc, n):
+    doc = make_doc()
+    doc["certificate"]["n"] = n
+    bad = fix_digest(doc)
+    start = time.perf_counter()
+    report = verify_document(bad)
+    elapsed = time.perf_counter() - start
+    assert not report.ok
+    assert report.results[0].name == "document_digest" and report.results[0].passed
+    assert elapsed < 1.0
