@@ -26,7 +26,7 @@ print(f"exact: max common-isotropic dimension {bound.max_common_isotropic_dim} "
 
 print("\n-- the flagship case: n=4, r=4, p=3 --")
 count = gaussian_binomial(8, 6, 3)
-print(f"6-dimensional subspaces of F_3^8 to examine: {count}")
+print(f"6-dimensional subspaces of F_3^8 the search must decide: {count}")
 start = time.perf_counter()
 spec44 = olshanskii_search(4, 4, 3, seed=7)
 elapsed = time.perf_counter() - start

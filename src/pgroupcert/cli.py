@@ -12,7 +12,7 @@ from fractions import Fraction
 import click
 
 from . import certdoc, solver
-from .groups import brute_force_lambda, group_order, max_abelian_exponent
+from .groups import MAX_GROUP_N, brute_force_lambda, group_order, max_abelian_exponent
 from .products import olshanskii_search, product_subgroup_bound
 from .symplectic import DEFAULT_SUBSPACE_BUDGET, BudgetExceeded
 from .verify import verify_document
@@ -67,8 +67,8 @@ def certify(n: int, r: int, p: int | None, lifts: str, out: str) -> None:
 @click.option("--out", default="-", show_default=True)
 def group(n: int, p: int, mode: str, budget: int, out: str) -> None:
     """Report the order, maximal abelian order, and abelian fraction of one Heisenberg group."""
-    if n < 1 or p < 3 or p % 2 == 0:
-        raise click.UsageError("need n >= 1 and an odd prime p")
+    if not 1 <= n <= MAX_GROUP_N or p < 3 or p % 2 == 0:
+        raise click.UsageError(f"need 1 <= n <= {MAX_GROUP_N} and an odd prime p")
     order = group_order(n, p)
     try:
         structural = max_abelian_exponent(n, p)

@@ -32,6 +32,10 @@ from .symplectic import (
 
 DEFAULT_BRUTE_BUDGET = 10_000
 
+#: Largest n for which group reports are produced and re-checked; the
+#: structural bound costs O(n^3) arithmetic on n-dependent matrices.
+MAX_GROUP_N = 64
+
 
 @dataclass(frozen=True)
 class HeisenbergElement:

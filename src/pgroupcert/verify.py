@@ -12,8 +12,10 @@ solver; only the series/enumeration primitives are shared.
 A content digest binds each document.  Checks that would be expensive to
 re-run are skipped (and reported as not run) once the digest has already
 failed, since the document is rejected either way.  The digest is not a
-signature, though, so the size parameter n of construction and prime
-documents is bounded before any arithmetic depends on it.
+signature, though, so the size parameters of construction, group and
+prime documents are bounded before any arithmetic depends on them, and
+a stored power of p is compared by bit length before the power is
+computed.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .certdoc import (
     document_digestable,
 )
 from .exterior import MAX_SYMMETRIZATION_N, SymmetrizationError, symmetrization_coefficients
-from .groups import brute_force_lambda, max_abelian_exponent
+from .groups import MAX_GROUP_N, brute_force_lambda, max_abelian_exponent
 from .series import OmegaSeries
 from .symplectic import (
     DEFAULT_SUBSPACE_BUDGET,
@@ -104,6 +106,17 @@ def _isotropy_free_dimension(n: int, r: int) -> int:
     return 4 * n // r + 2
 
 
+def _is_power(value: int, p: int, e: int) -> bool:
+    """value == p**e, computing the power only when its size is bounded by value's.
+
+    For |p| >= 2 the power has more than e bits, so an exponent above the
+    bit length of value cannot match and is rejected before any work.
+    """
+    if e < 0 or (abs(p) >= 2 and e > value.bit_length()):
+        return False
+    return value == p**e
+
+
 # -- the dispatcher -----------------------------------------------------------
 
 
@@ -161,15 +174,15 @@ def _verify_construction(cert: dict, digest_ok: bool, budget: int) -> list[Check
     out: list[CheckResult] = []
     n = decode_int(cert["n"])
     r = decode_int(cert["r"])
-    n_ok = 1 <= n <= MAX_SYMMETRIZATION_N
+    params_ok = 1 <= n <= MAX_SYMMETRIZATION_N and r >= 1
     out.append(
         _check(
             "params",
-            n_ok and r >= 1,
+            params_ok,
             f"bad parameters n={n}, r={r} (need 1 <= n <= {MAX_SYMMETRIZATION_N}, r >= 1)",
         )
     )
-    if not n_ok:
+    if not params_ok:
         return out
     p = decode_int(cert["p"])
     M = decode_int(cert["M"])
@@ -274,7 +287,7 @@ def _verify_construction(cert: dict, digest_ok: bool, budget: int) -> list[Check
         expected_conditional = True
     group_ok = (
         decode_int(group["order_exponent"]) == 2 * n + r
-        and decode_int(group["order"]) == p ** (2 * n + r)
+        and _is_power(decode_int(group["order"]), p, 2 * n + r)
         and decode_int(group["abelian_exponent"]) == expected_abelian
         and group["abelian_bound_conditional"] == expected_conditional
         and decode_fraction(group["lambda"]) == Fraction(expected_abelian, 2 * n + r)
@@ -313,6 +326,16 @@ def _verify_group(cert: dict, digest_ok: bool) -> list[CheckResult]:
     out: list[CheckResult] = []
     n = decode_int(cert["n"])
     p = decode_int(cert["p"])
+    params_ok = 1 <= n <= MAX_GROUP_N and p >= 3 and p % 2 == 1
+    out.append(
+        _check(
+            "params",
+            params_ok,
+            f"bad parameters n={n}, p={p} (need 1 <= n <= {MAX_GROUP_N} and an odd p >= 3)",
+        )
+    )
+    if not params_ok:
+        return out
     mode = cert["mode"]
     budget = decode_int(cert["budget"])
     order = decode_int(cert["order"])
@@ -324,14 +347,14 @@ def _verify_group(cert: dict, digest_ok: bool) -> list[CheckResult]:
     out.append(
         _check(
             "order",
-            order == p ** (2 * n + 1) and decode_int(cert["order_exponent"]) == 2 * n + 1,
+            _is_power(order, p, 2 * n + 1) and decode_int(cert["order_exponent"]) == 2 * n + 1,
             "group order fields disagree",
         )
     )
     out.append(
         _check(
             "lambda_arithmetic",
-            stored_max == p**stored_exp and lam == Fraction(stored_exp, 2 * n + 1),
+            _is_power(stored_max, p, stored_exp) and lam == Fraction(stored_exp, 2 * n + 1),
             "lambda is not the stored exponent ratio",
         )
     )

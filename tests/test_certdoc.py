@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 
 from pgroupcert import certdoc
+from pgroupcert.products import olshanskii_search, product_subgroup_bound
 from pgroupcert.series import OmegaSeries
 from pgroupcert.solver import certify
+from pgroupcert.symplectic import DEFAULT_SUBSPACE_BUDGET
 
 
 def test_int_encoding_small_and_big():
@@ -139,3 +141,27 @@ def test_golden_construction_digests(n, r, p, lift):
         certificate=certdoc.construction_payload(certify(n, r, p, lift=lift)),
     )
     assert doc["digest"] == GOLDEN_DIGESTS[(n, r, p, lift)]
+
+
+# Full digests of olshanskii documents as the CLI builds them (default budget
+# and attempts), pinned so that changes to the isotropic enumeration cannot
+# silently change a certificate or its transcript.
+GOLDEN_OLSHANSKII_DIGESTS = {
+    (2, 2, 3, 1): "2a90932720041aca62767be7d5f3061f1d62e8518fe04516bcc3dfeed3ef76cf",
+    (4, 4, 3, 7): "4d8e5366a4ee0e8e84c1f1197e5b825e1ea297bd3f34835ea967b9daf1e6359a",
+}
+
+
+@pytest.mark.parametrize("n,r,p,seed", sorted(GOLDEN_OLSHANSKII_DIGESTS))
+def test_golden_olshanskii_digests(n, r, p, seed):
+    budget, attempts = DEFAULT_SUBSPACE_BUDGET, 20
+    spec = olshanskii_search(n, r, p, seed=seed, budget=budget, attempts=attempts)
+    bound = product_subgroup_bound(spec, exact_budget=budget) if spec.certified else None
+    doc = certdoc.build_document(
+        kind="olshanskii",
+        command="olshanskii",
+        params={"n": n, "r": r, "p": p, "seed": seed, "budget": budget, "attempts": attempts},
+        certificate=certdoc.olshanskii_payload(spec, bound),
+        seed=seed,
+    )
+    assert doc["digest"] == GOLDEN_OLSHANSKII_DIGESTS[(n, r, p, seed)]

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from pgroupcert import certdoc
 from pgroupcert.cli import main
 from pgroupcert.exterior import MAX_SYMMETRIZATION_N
+from pgroupcert.groups import MAX_GROUP_N
 
 
 @pytest.fixture()
@@ -165,6 +166,12 @@ def test_find_prime_rejects_n_over_cap(runner):
     result = runner.invoke(main, ["find-prime", "--n", str(MAX_SYMMETRIZATION_N + 1)])
     assert result.exit_code == 2
     assert "exceeds" in result.output
+
+
+def test_group_rejects_n_over_cap(runner):
+    result = runner.invoke(main, ["group", "--n", str(MAX_GROUP_N + 1), "--p", "3"])
+    assert result.exit_code == 2
+    assert f"n <= {MAX_GROUP_N}" in result.output
 
 
 def test_verify_malformed_field_is_usage_error(runner, tmp_path):

@@ -1,9 +1,13 @@
 """Symplectic forms, canonical subspaces, exhaustive isotropic enumeration."""
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pgroupcert.products import olshanskii_search
 from pgroupcert.symplectic import (
     BudgetExceeded,
     Subspace,
@@ -91,11 +95,12 @@ def test_no_isotropic_beyond_half_dimension():
 
 def test_lagrangian_count():
     # number of Lagrangians of a 2n-dim symplectic space: prod (p^i + 1)
-    form = SymplecticForm.standard(2, 3)
-    lagrangians = enumerate_isotropic([form], 2)
-    assert len(lagrangians) == (3 + 1) * (9 + 1)
-    for sub in lagrangians:
-        assert sub.is_isotropic_for(form)
+    for n, expected in [(2, (3 + 1) * (9 + 1)), (3, (3 + 1) * (9 + 1) * (27 + 1))]:
+        form = SymplecticForm.standard(n, 3)
+        lagrangians = enumerate_isotropic([form], n)
+        assert len(lagrangians) == expected
+        for sub in lagrangians:
+            assert sub.is_isotropic_for(form)
 
 
 def test_enumerate_isotropic_k_above_dim_is_empty():
@@ -114,3 +119,42 @@ def test_random_invertible_is_invertible():
     for _ in range(20):
         a = random_invertible(4, 3, rng)
         assert is_invertible(a, 3)
+
+
+# The pure-Python oracle decides every subspace one by one, so cases with
+# more subspaces than this are left out: at p = 5 in dimension 6 that is
+# k = 2, 3, 4 (0.5 to 2.6 million subspaces).  Every other (dim, p, k) with
+# dim <= 6 and p in {2, 3, 5} is drawn.
+ORACLE_SUBSPACES = 40_000
+
+
+@functools.lru_cache(maxsize=None)
+def _all_subspaces(dim, p, k):
+    return tuple(enumerate_subspaces(dim, p, k))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    half=st.integers(1, 3),
+    p=st.sampled_from([2, 3, 5]),
+    count=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_enumerate_isotropic_matches_oracle(half, p, count, seed):
+    rng = random.Random(seed)
+    standard = SymplecticForm.standard(half, p)
+    forms = [standard.pullback(random_invertible(2 * half, p, rng)) for _ in range(count)]
+    for k in range(2 * half + 1):
+        if gaussian_binomial(2 * half, k, p) > ORACLE_SUBSPACES:
+            continue
+        expected = sorted(
+            (s for s in _all_subspaces(2 * half, p, k) if all(s.is_isotropic_for(f) for f in forms)),
+            key=lambda s: s.basis,
+        )
+        assert enumerate_isotropic(forms, k) == expected
+
+
+def test_flagship_family_has_no_common_isotropic_6_space():
+    spec = olshanskii_search(4, 4, 3, seed=7)
+    assert spec.k == 6
+    assert enumerate_isotropic(list(spec.forms), 6) == []

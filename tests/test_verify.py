@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from pgroupcert import certdoc
+from pgroupcert import certdoc, verify
 from pgroupcert.exterior import MAX_SYMMETRIZATION_N
-from pgroupcert.groups import brute_force_lambda, group_order, max_abelian_exponent
+from pgroupcert.groups import MAX_GROUP_N, brute_force_lambda, group_order, max_abelian_exponent
 from pgroupcert.products import olshanskii_search, product_subgroup_bound
 from pgroupcert.solver import certify, compute_M, epsilon_witness, find_prime, lambda_table
 from pgroupcert.verify import verify_document
@@ -197,3 +197,42 @@ def test_out_of_range_n_is_rejected_before_any_arithmetic(make_doc, n):
     assert not report.ok
     assert report.results[0].name == "document_digest" and report.results[0].passed
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("r", [10**7, 0])
+def test_construction_r_is_bounded(r):
+    # a huge r must not be raised to p ** (2n + r); r = 0 must not divide by zero
+    doc = construction_doc(2, 2, 7)
+    doc["certificate"]["r"] = r
+    doc["certificate"]["group"]["order_exponent"] = 4 + r
+    start = time.perf_counter()
+    report = verify_document(fix_digest(doc))
+    assert time.perf_counter() - start < 1.0
+    assert report.results[0].name == "document_digest" and report.results[0].passed
+    failed = {result.name for result in report.failures()}
+    assert failed == ({"group_bounds"} if r > 1 else {"params"})
+
+
+def test_group_stored_exponent_is_bounded():
+    doc = group_doc(1, 3, mode="structural")
+    doc["certificate"]["max_abelian_exponent"] = 10**9
+    start = time.perf_counter()
+    report = verify_document(fix_digest(doc))
+    assert time.perf_counter() - start < 1.0
+    assert "lambda_arithmetic" in {result.name for result in report.failures()}
+
+
+@pytest.mark.parametrize("n,p", [(10**6, 3), (MAX_GROUP_N + 1, 3), (0, 3), (1, 0), (1, 4)])
+def test_group_params_are_rejected_before_any_arithmetic(monkeypatch, n, p):
+    def refuse(*args, **kwargs):
+        raise AssertionError("bound recomputed for out-of-range parameters")
+
+    monkeypatch.setattr(verify, "max_abelian_exponent", refuse)
+    doc = group_doc(1, 3, mode="structural")
+    doc["certificate"]["n"] = n
+    doc["certificate"]["p"] = p
+    start = time.perf_counter()
+    report = verify_document(fix_digest(doc))
+    assert time.perf_counter() - start < 1.0
+    assert report.results[0].passed
+    assert [result.name for result in report.failures()] == ["params"]
