@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .groups import HeisenbergElement
+from .primes import is_prime
 from .symplectic import (
     DEFAULT_SUBSPACE_BUDGET,
     BudgetExceeded,
@@ -49,28 +50,31 @@ def isotropy_free_dimension(n: int, r: int) -> int:
 
 @dataclass
 class ProductSubgroupSpec:
-    """A family of forms and matrices defining the product subgroup, plus its verification state."""
+    """A family of matrices defining the product subgroup, its forms, and its verification state.
+
+    The forms are the pullbacks of the standard form by the matrices, so
+    they are derived here rather than passed in.
+    """
 
     n: int
     p: int
     r: int
     k: int
     mats: tuple[Matrix, ...]
-    forms: tuple[SymplecticForm, ...]
     certified: bool
     transcript: dict = field(default_factory=dict)
+    forms: tuple[SymplecticForm, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if len(self.mats) != self.r or len(self.forms) != self.r:
-            raise ValueError("need exactly r matrices and r forms")
+        if len(self.mats) != self.r:
+            raise ValueError("need exactly r matrices")
         if not 4 * self.n < self.r * (self.k - 1):
             raise ValueError(f"k={self.k} violates 4n < r(k-1) at n={self.n}, r={self.r}")
-        standard = SymplecticForm.standard(self.n, self.p)
-        for j, (a, form) in enumerate(zip(self.mats, self.forms), start=1):
+        for j, a in enumerate(self.mats, start=1):
             if not is_invertible(a, self.p):
                 raise ValueError(f"A_{j} is not invertible mod {self.p}")
-            if standard.pullback(a).matrix != form.matrix:
-                raise ValueError(f"form {j} does not equal the pullback of the standard form by A_{j}")
+        standard = SymplecticForm.standard(self.n, self.p)
+        self.forms = tuple(standard.pullback(a) for a in self.mats)
 
     @property
     def order_exponent(self) -> int:
@@ -107,53 +111,28 @@ def olshanskii_search(
         raise ValueError("r must be at least 2 (the single-factor case uses the plain group bound)")
     if n < 1:
         raise ValueError("n must be at least 1")
+    if attempts < 1:
+        raise ValueError("attempts must be at least 1")
+    if p % 2 == 0 or not is_prime(p):
+        raise ValueError(f"p={p} is not an odd prime")
     k = isotropy_free_dimension(n, r)
     total = gaussian_binomial(2 * n, k, p)
     if total > budget:
         raise BudgetExceeded(total, budget)
     rng = random.Random(seed)
-    standard = SymplecticForm.standard(n, p)
-    attempts_log: list[dict] = []
-    last: tuple[tuple[Matrix, ...], tuple[SymplecticForm, ...]] | None = None
+    transcript: dict = {"seed": seed, "attempts": [], "subspaces_examined_per_attempt": total}
     for attempt in range(1, attempts + 1):
         mats = (identity_matrix(2 * n),) + tuple(
             random_invertible(2 * n, p, rng) for _ in range(r - 1)
         )
-        forms = tuple(standard.pullback(a) for a in mats)
-        common = enumerate_isotropic(list(forms), k, budget=budget)
-        attempts_log.append({"attempt": attempt, "common_isotropic_found": len(common)})
-        last = (mats, forms)
+        spec = ProductSubgroupSpec(n=n, p=p, r=r, k=k, mats=mats, certified=False, transcript=transcript)
+        common = enumerate_isotropic(list(spec.forms), k, budget=budget)
+        transcript["attempts"].append({"attempt": attempt, "common_isotropic_found": len(common)})
         if not common:
-            return ProductSubgroupSpec(
-                n=n,
-                p=p,
-                r=r,
-                k=k,
-                mats=mats,
-                forms=forms,
-                certified=True,
-                transcript={
-                    "seed": seed,
-                    "attempts": attempts_log,
-                    "subspaces_examined_per_attempt": total,
-                },
-            )
-    assert last is not None
-    return ProductSubgroupSpec(
-        n=n,
-        p=p,
-        r=r,
-        k=k,
-        mats=last[0],
-        forms=last[1],
-        certified=False,
-        transcript={
-            "seed": seed,
-            "attempts": attempts_log,
-            "subspaces_examined_per_attempt": total,
-            "exhausted": True,
-        },
-    )
+            spec.certified = True
+            return spec
+    transcript["exhausted"] = True
+    return spec
 
 
 @dataclass(frozen=True)

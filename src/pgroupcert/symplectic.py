@@ -1,5 +1,9 @@
 """Linear algebra over F_p: symplectic forms, canonical subspaces, isotropic enumeration.
 
+Matrices are tuples of int tuples and every operation on them is exact
+integer arithmetic reduced mod p, so entries of any size, and primes of
+any size, give the same answer as their residues.
+
 Subspaces are represented by their reduced row echelon basis, which is a
 unique canonical form, so subspace equality is matrix equality and
 enumeration by pivot pattern visits every subspace exactly once.  The
@@ -13,11 +17,8 @@ decides every subspace, and checks that the subspaces it ruled out plus
 those it kept add up to the Gaussian binomial.  The
 subspaces_examined_per_attempt of a form-family transcript is that count
 of subspaces decided, not the number of candidate rows touched.
-
-The search runs in int64 numpy.  Every operand is reduced mod p first,
-so each dot product stays below dim * p**2 and the arithmetic is exact.
-enumerate_subspaces walks every basis in plain Python and is the
-reference the tests hold the search to.
+enumerate_subspaces walks every basis one by one and is the reference
+the tests hold the search to.
 """
 
 from __future__ import annotations
@@ -25,17 +26,14 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from operator import mul
+from typing import Callable, Sequence
 
-import numpy as np
-
-Matrix = tuple[tuple[int, ...], ...]
+Row = tuple[int, ...]
+Matrix = tuple[Row, ...]
 
 #: Default ceiling on how many subspaces an exhaustive enumeration may visit.
 DEFAULT_SUBSPACE_BUDGET = 10**7
-
-#: Largest number of int64 entries one pruning product may hold (8 MB).
-_CHUNK_ENTRIES = 1 << 20
 
 
 class BudgetExceeded(RuntimeError):
@@ -94,11 +92,6 @@ def random_invertible(dim: int, p: int, rng: random.Random) -> Matrix:
             return _as_matrix(candidate, p)
 
 
-def matmul_mod_p(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]], p: int) -> Matrix:
-    arr = (np.array(a, dtype=np.int64) @ np.array(b, dtype=np.int64)) % p
-    return tuple(tuple(int(x) for x in row) for row in arr)
-
-
 @dataclass(frozen=True)
 class SymplecticForm:
     """A nondegenerate antisymmetric bilinear form on F_p^(2n), given by its Gram matrix."""
@@ -145,12 +138,10 @@ class SymplecticForm:
 
     def pullback(self, a: Sequence[Sequence[int]]) -> "SymplecticForm":
         """The form (u,v) -> self(Au, Av), i.e. Gram matrix A^T M A."""
-        arr = np.array(a, dtype=np.int64)
-        gram = (arr.T @ np.array(self.matrix, dtype=np.int64) @ arr) % self.p
-        return SymplecticForm(self.p, tuple(tuple(int(x) for x in row) for row in gram))
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.matrix, dtype=np.int64)
+        cols = list(zip(*a))
+        images = [tuple(sum(map(mul, row, col)) for row in self.matrix) for col in cols]
+        gram = tuple(tuple(sum(map(mul, u, v)) % self.p for v in images) for u in cols)
+        return SymplecticForm(self.p, gram)
 
 
 @dataclass(frozen=True)
@@ -198,58 +189,53 @@ def gaussian_binomial(m: int, k: int, p: int) -> int:
     return num // den
 
 
-def _row_fillings(dim: int, p: int, pivots: tuple[int, ...], i: int, chunk: int) -> Iterator[np.ndarray]:
-    """Every echelon row i of the pivot pattern, in blocks of at most `chunk` rows.
+def _row_fillings(dim: int, p: int, pivots: tuple[int, ...], i: int) -> list[Row]:
+    """Every echelon row i of the pivot pattern.
 
     Row i has a 1 in column pivots[i], zeros before it and in the other
     pivot columns, and free entries in the remaining later columns.
     """
     free = [j for j in range(pivots[i] + 1, dim) if j not in pivots]
-    radix = p ** np.arange(len(free), dtype=np.int64)
-    count = p ** len(free)
-    for start in range(0, count, chunk):
-        idx = np.arange(start, min(start + chunk, count), dtype=np.int64)
-        rows = np.zeros((len(idx), dim), dtype=np.int64)
-        rows[:, pivots[i]] = 1
-        rows[:, free] = (idx[:, None] // radix) % p
-        yield rows
+    out = []
+    for values in itertools.product(range(p), repeat=len(free)):
+        row = [0] * dim
+        row[pivots[i]] = 1
+        for j, v in zip(free, values):
+            row[j] = v
+        out.append(tuple(row))
+    return out
 
 
 def _isotropic_with_pivots(
-    stacked: np.ndarray, p: int, pivots: tuple[int, ...]
-) -> tuple[np.ndarray, int]:
+    normals: Callable[[Row], tuple[Row, ...]], dim: int, p: int, pivots: tuple[int, ...]
+) -> tuple[list[Matrix], int]:
     """Isotropic echelon bases with one pivot pattern, and how many bases were decided.
 
-    `stacked` holds the r Gram matrices side by side, shape (dim, r*dim).
-    The bases are built from the last row up; a new row x is kept on top
-    of a prefix only if x W y = 0 for every form W and every prefix row y.
-    A rejected (row, prefix) pair decides all of its completions at once.
+    normals(y) gives the vectors W y, one per form W.  The bases are built
+    from the last row up; a new row x is kept on top of a prefix only if
+    x W y = 0 for every form W and every prefix row y, i.e. x is
+    orthogonal to every normal of the prefix.  A rejected (row, prefix)
+    pair decides all of its completions at once.
     """
-    dim = stacked.shape[0]
     k = len(pivots)
     free_counts = [dim - 1 - c - (k - 1 - i) for i, c in enumerate(pivots)]
-    prefixes = np.concatenate(list(_row_fillings(dim, p, pivots, k - 1, _CHUNK_ENTRIES // dim)))
-    prefixes = prefixes[:, None, :]
+    prefixes = [((row,), normals(row)) for row in _row_fillings(dim, p, pivots, k - 1)]
     decided = 0
     for i in range(k - 2, -1, -1):
-        if not len(prefixes):
+        if not prefixes:
             break
-        constraints = prefixes.shape[1] * (stacked.shape[1] // dim)
         completions = p ** sum(free_counts[:i])
         kept = []
-        for rows in _row_fillings(dim, p, pivots, i, max(1, _CHUNK_ENTRIES // constraints)):
-            step = max(1, _CHUNK_ENTRIES // (max(len(rows), dim) * constraints))
-            for start in range(0, len(prefixes), step):
-                block = prefixes[start : start + step]
-                # x W y^T = -(y W) . x, so one product tests every (x, y, W).
-                normals = ((block @ stacked) % p).reshape(-1, dim)
-                values = (rows @ normals.T) % p
-                ok = ~values.reshape(len(rows), len(block), constraints).any(axis=2)
-                x_idx, y_idx = np.nonzero(ok)
-                decided += (ok.size - len(x_idx)) * completions
-                kept.append(np.concatenate([rows[x_idx][:, None, :], block[y_idx]], axis=1))
-        prefixes = np.concatenate(kept)
-    return prefixes, decided + len(prefixes)
+        for row in _row_fillings(dim, p, pivots, i):
+            for basis, constraints in prefixes:
+                for w in constraints:
+                    if sum(map(mul, row, w)) % p:
+                        decided += completions
+                        break
+                else:
+                    kept.append(((row,) + basis, normals(row) + constraints))
+        prefixes = kept
+    return [basis for basis, _ in prefixes], decided + len(prefixes)
 
 
 def enumerate_isotropic(
@@ -285,13 +271,22 @@ def enumerate_isotropic(
     if k == 0:
         return [Subspace(p, ())]
 
-    stacked = np.concatenate([f.as_array() for f in forms], axis=1)
+    grams = [f.matrix for f in forms]
+    cache: dict[Row, tuple[Row, ...]] = {}
+
+    def normals(y: Row) -> tuple[Row, ...]:
+        # Rows recur across pivot patterns, so each W y is computed once per call.
+        hit = cache.get(y)
+        if hit is None:
+            hit = cache[y] = tuple(tuple(sum(map(mul, w, y)) % p for w in gram) for gram in grams)
+        return hit
+
     survivors: list[Matrix] = []
     decided = 0
     for pivots in itertools.combinations(range(dim), k):
-        bases, count = _isotropic_with_pivots(stacked, p, pivots)
+        bases, count = _isotropic_with_pivots(normals, dim, p, pivots)
         decided += count
-        survivors.extend(tuple(map(tuple, basis)) for basis in bases.tolist())
+        survivors.extend(bases)
     assert decided == total, f"decided {decided} subspaces, expected {total}"
     return [Subspace(p, basis) for basis in sorted(survivors)]
 

@@ -1,6 +1,10 @@
 """CLI subcommands, exit codes, file output, verify round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -184,3 +188,26 @@ def test_verify_malformed_field_is_usage_error(runner, tmp_path):
     result = runner.invoke(main, ["verify", str(out)])
     assert result.exit_code == 2
     assert "bad integer literal" in result.output
+
+
+def test_cli_import_leaves_numpy_out():
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    code = "import sys, pgroupcert.cli; sys.exit('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr or "numpy was imported"
+
+
+def test_olshanskii_at_a_large_prime(runner, tmp_path):
+    out = tmp_path / "family.json"
+    result = runner.invoke(main, ["olshanskii", "--n", "1", "--r", "5", "--p", "2147483659", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert runner.invoke(main, ["verify", str(out)]).exit_code == 0
+
+
+@pytest.mark.parametrize("args", [["--p", "3", "--attempts", "0"], ["--p", "1"], ["--p", "2"], ["--p", "9"]])
+def test_olshanskii_rejects_bad_search_parameters(runner, args):
+    # p = 1 used to loop forever looking for an invertible matrix; p = 2
+    # gave a document that verify rejects.
+    result = runner.invoke(main, ["olshanskii", "--n", "1", "--r", "2", *args])
+    assert result.exit_code == 2, result.output

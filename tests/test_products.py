@@ -17,7 +17,7 @@ from pgroupcert.products import (
     product_mul,
     product_subgroup_bound,
 )
-from pgroupcert.symplectic import SymplecticForm, enumerate_isotropic
+from pgroupcert.symplectic import enumerate_isotropic
 
 
 def test_isotropy_free_dimension():
@@ -43,19 +43,10 @@ def test_vacuous_family_certifies():
     assert spec.abelian_exponent == 2 + min(4, 2)
 
 
-def test_spec_validation_catches_bad_forms():
+def test_spec_rejects_singular_matrix():
     spec = olshanskii_search(1, 2, 3, seed=7)
-    standard = SymplecticForm.standard(1, 3)
-    with pytest.raises(ValueError):
-        ProductSubgroupSpec(
-            n=1,
-            p=3,
-            r=2,
-            k=4,
-            mats=spec.mats,
-            forms=(standard, standard.pullback(((1, 1), (0, 1)))),
-            certified=True,
-        )
+    with pytest.raises(ValueError, match="A_2 is not invertible"):
+        ProductSubgroupSpec(n=1, p=3, r=2, k=4, mats=(spec.mats[0], ((1, 2), (2, 1))), certified=True)
 
 
 def test_exact_bound_via_common_isotropic_dimension():
@@ -96,12 +87,8 @@ def test_degenerate_identity_family_has_common_lagrangian():
     n, p, r = 2, 3, 2
     k = isotropy_free_dimension(n, r)
     mats = (identity_matrix(2 * n),) * r
-    standard = SymplecticForm.standard(n, p)
-    forms = (standard,) * r
-    common = enumerate_isotropic(list(forms), k)
-    spec = ProductSubgroupSpec(
-        n=n, p=p, r=r, k=k, mats=mats, forms=forms, certified=not common
-    )
+    spec = ProductSubgroupSpec(n=n, p=p, r=r, k=k, mats=mats, certified=False)
+    spec.certified = not enumerate_isotropic(list(spec.forms), k)
     assert spec.certified  # k = 6 exceeds 2n = 4, vacuously
     bound = product_subgroup_bound(spec)
     assert bound.max_common_isotropic_dim == n
@@ -116,7 +103,6 @@ def test_uncertified_spec_refuses_bounds():
         r=spec.r,
         k=spec.k,
         mats=spec.mats,
-        forms=spec.forms,
         certified=False,
         transcript={"exhausted": True},
     )

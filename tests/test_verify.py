@@ -1,6 +1,7 @@
 """Producer-checker consistency and mutation rejection."""
 
 import json
+import random
 import time
 from fractions import Fraction
 
@@ -9,8 +10,9 @@ import pytest
 from pgroupcert import certdoc, verify
 from pgroupcert.exterior import MAX_SYMMETRIZATION_N
 from pgroupcert.groups import MAX_GROUP_N, brute_force_lambda, group_order, max_abelian_exponent
-from pgroupcert.products import olshanskii_search, product_subgroup_bound
+from pgroupcert.products import ProductSubgroupSpec, identity_matrix, olshanskii_search, product_subgroup_bound
 from pgroupcert.solver import certify, compute_M, epsilon_witness, find_prime, lambda_table
+from pgroupcert.symplectic import SymplecticForm, enumerate_isotropic, random_invertible
 from pgroupcert.verify import verify_document
 
 
@@ -236,3 +238,87 @@ def test_group_params_are_rejected_before_any_arithmetic(monkeypatch, n, p):
     assert time.perf_counter() - start < 1.0
     assert report.results[0].passed
     assert [result.name for result in report.failures()] == ["params"]
+
+
+def test_forms_that_belong_to_no_matrix_are_rejected():
+    # Nine identity matrices share 40 isotropic planes; three extra stored
+    # forms that no matrix pulls back to would hide every one of them.
+    n, r, p = 2, 9, 3
+    spec = ProductSubgroupSpec(n=n, p=p, r=r, k=2, mats=(identity_matrix(4),) * r, certified=False)
+    assert len(enumerate_isotropic(list(spec.forms), 2)) == 40
+    rng = random.Random(0)
+    standard = SymplecticForm.standard(n, p)
+    extra = [standard.pullback(random_invertible(4, p, rng)) for _ in range(3)]
+    assert enumerate_isotropic(list(spec.forms) + extra, 2) == []
+    doc = certdoc.build_document(
+        "olshanskii", "olshanskii", {"n": n, "r": r, "p": p}, certdoc.olshanskii_payload(spec, None)
+    )
+    doc["certificate"]["certified"] = True
+    doc["certificate"]["forms"] += [certdoc.encode_matrix(f.matrix) for f in extra]
+    report = verify_document(fix_digest(doc))
+    assert report.results[0].passed
+    assert "form_congruence" in {result.name for result in report.failures()}
+
+
+@pytest.mark.parametrize("shift", [3 * 2**40, 3 * 2**60, 3 * 2**70])
+def test_unreduced_matrix_entries_are_exact(shift):
+    # The same residues mod p must give the same verdict, however large the entries.
+    doc = olshanskii_doc(1, 2, 3)
+    reduced = verify_document(reserialize(doc))
+    assert reduced.ok, reduced.failures()
+    bad = fix_digest(mutate(doc, ["mats", 1, 1, 0], shift))
+    assert verify_document(reserialize(bad)).ok == reduced.ok
+
+
+def _ragged(cert):
+    cert["mats"][1][1] = cert["mats"][1][1][:1]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        {"p": 0},
+        {"p": 9},
+        {"p": 2**89 - 1},  # prime, but beyond the deterministic primality range
+        {"r": 0},
+        {"n": 10**6},
+        _ragged,
+    ],
+    ids=["p=0", "p=9", "p=2^89-1", "r=0", "n=10^6", "ragged"],
+)
+def test_olshanskii_params_are_rejected_before_any_arithmetic(monkeypatch, edit):
+    def refuse(*args, **kwargs):
+        raise AssertionError("standard form built for out-of-range parameters")
+
+    doc = json.loads(json.dumps(olshanskii_doc(1, 2, 3)))
+    if callable(edit):
+        edit(doc["certificate"])
+    else:
+        doc["certificate"].update(edit)
+    monkeypatch.setattr(SymplecticForm, "standard", refuse)
+    start = time.perf_counter()
+    report = verify_document(fix_digest(doc))
+    assert time.perf_counter() - start < 1.0
+    assert report.results[0].passed
+    assert [result.name for result in report.failures()] == ["params"]
+
+
+def test_brute_group_report_runs_under_the_verifiers_budget():
+    doc = group_doc(1, 3, mode="brute")
+    doc["certificate"]["p"] = 101
+    doc["certificate"]["budget"] = 10**100
+    start = time.perf_counter()
+    report = verify_document(fix_digest(doc))
+    assert time.perf_counter() - start < 1.0
+    failed = {result.name: result.detail for result in report.failures()}
+    assert "budget is 10000" in failed["bound_recomputation"]
+
+
+def test_structural_only_abelian_bound_says_so():
+    doc = reserialize(construction_doc(2, 1, 7))
+    full = {result.name: result for result in verify_document(doc).results}
+    assert full["abelian_bound_structural"].passed and full["abelian_bound_structural"].detail == ""
+    # gaussian_binomial(4, 3, 7) = 400 subspaces
+    over = {result.name: result for result in verify_document(doc, budget=399).results}
+    assert over["abelian_bound_structural"].passed
+    assert over["abelian_bound_structural"].detail == "structural-only: 400 subspaces over budget 399"
