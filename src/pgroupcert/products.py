@@ -9,9 +9,12 @@ subspace is isotropic for all the omega_j simultaneously, abelian
 subgroups have at most p^(r+k) elements.
 
 Families certifying that property exist whenever 4n < r(k-1); the search
-below samples matrices pseudorandomly (seeded) and always verifies by
-exhaustive subspace enumeration.  A family is never reported as
-certified on randomized evidence alone.
+below samples matrices pseudorandomly (seeded) and never reports a family
+as certified on randomized evidence alone.  When k > n the certificate is
+the rank argument: each omega_j is nondegenerate (the spec proves it by
+rank), and a nondegenerate form on F_p^(2n) has no isotropic subspace of
+dimension above n, because W lies in W-perp and dim W-perp = 2n - dim W.
+When k <= n the family is verified by exhaustive subspace enumeration.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .symplectic import (
     SymplecticForm,
     enumerate_isotropic,
     gaussian_binomial,
-    is_invertible,
     random_invertible,
 )
 
@@ -53,7 +55,10 @@ class ProductSubgroupSpec:
     """A family of matrices defining the product subgroup, its forms, and its verification state.
 
     The forms are the pullbacks of the standard form by the matrices, so
-    they are derived here rather than passed in.
+    they are derived here rather than passed in.  For a square A and an
+    invertible M, A^T M A is invertible exactly when A is, so the rank
+    check each pulled-back form runs is also the invertibility check of
+    its matrix.
     """
 
     n: int
@@ -70,11 +75,18 @@ class ProductSubgroupSpec:
             raise ValueError("need exactly r matrices")
         if not 4 * self.n < self.r * (self.k - 1):
             raise ValueError(f"k={self.k} violates 4n < r(k-1) at n={self.n}, r={self.r}")
-        for j, a in enumerate(self.mats, start=1):
-            if not is_invertible(a, self.p):
-                raise ValueError(f"A_{j} is not invertible mod {self.p}")
+        dim = 2 * self.n
         standard = SymplecticForm.standard(self.n, self.p)
-        self.forms = tuple(standard.pullback(a) for a in self.mats)
+        forms = []
+        for j, a in enumerate(self.mats, start=1):
+            # pullback zips columns, so a wrong shape would be truncated, not refused.
+            if len(a) != dim or any(len(row) != dim for row in a):
+                raise ValueError(f"A_{j} is not {dim} x {dim}")
+            try:
+                forms.append(standard.pullback(a))
+            except ValueError:
+                raise ValueError(f"A_{j} is not invertible mod {self.p}") from None
+        self.forms = tuple(forms)
 
     @property
     def order_exponent(self) -> int:
@@ -101,7 +113,9 @@ def olshanskii_search(
     """Search for r symplectic forms on F_p^(2n) with no common k-dimensional isotropic subspace.
 
     A_1 is always the identity; the rest are sampled from the seeded rng.
-    Certification is always by exhaustive enumeration.  If no family
+    When k > n the first family drawn is certified by nondegeneracy, and
+    no subspace is enumerated; otherwise certification is by exhaustive
+    enumeration.  If no family
     passes within the attempt budget the result comes back uncertified,
     with the transcript recording every attempt; existence for small
     parameters is not guaranteed, so honest exhaustion is a valid
@@ -126,9 +140,9 @@ def olshanskii_search(
             random_invertible(2 * n, p, rng) for _ in range(r - 1)
         )
         spec = ProductSubgroupSpec(n=n, p=p, r=r, k=k, mats=mats, certified=False, transcript=transcript)
-        common = enumerate_isotropic(list(spec.forms), k, budget=budget)
-        transcript["attempts"].append({"attempt": attempt, "common_isotropic_found": len(common)})
-        if not common:
+        found = 0 if k > n else len(enumerate_isotropic(list(spec.forms), k, budget=budget))
+        transcript["attempts"].append({"attempt": attempt, "common_isotropic_found": found})
+        if not found:
             spec.certified = True
             return spec
     transcript["exhausted"] = True
@@ -152,12 +166,14 @@ def product_subgroup_bound(
     enumerations fit the budget, the exact maximal common-isotropic
     dimension d is computed as well, giving the exact maximal abelian
     order p^(r+d) (the preimage of a maximal common-isotropic subspace
-    is abelian and attains it).
+    is abelian and attains it).  The search for d starts at min(k-1, n):
+    no isotropic space lies above n, and since gb(2n, d, p) is largest
+    at d = n, a budget that admits n admits every larger d as well.
     """
     if not spec.certified:
         raise ValueError("bounds are only reported for certified families")
     d_exact: int | None = None
-    for d in range(min(spec.k - 1, 2 * spec.n), -1, -1):
+    for d in range(min(spec.k - 1, spec.n), -1, -1):
         try:
             found = enumerate_isotropic(list(spec.forms), d, budget=exact_budget)
         except BudgetExceeded:

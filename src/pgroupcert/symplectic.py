@@ -16,7 +16,10 @@ touches far fewer candidate rows than there are subspaces.  It still
 decides every subspace, and checks that the subspaces it ruled out plus
 those it kept add up to the Gaussian binomial.  The
 subspaces_examined_per_attempt of a form-family transcript is that count
-of subspaces decided, not the number of candidate rows touched.
+of subspaces decided, not the number of candidate rows touched.  When k
+exceeds n the form-family search decides all of them without this
+search: a nondegenerate form on F_p^(2n) has no isotropic subspace of
+dimension above n, since W lies in W-perp and dim W-perp = 2n - dim W.
 enumerate_subspaces walks every basis one by one and is the reference
 the tests hold the search to.
 """
@@ -152,9 +155,24 @@ class Subspace:
     basis: Matrix
 
     def __post_init__(self) -> None:
-        if self.basis:
-            reduced, _ = rref_mod_p(self.basis, self.p)
-            if tuple(tuple(row) for row in reduced) != self.basis:
+        # The reduced echelon shape, read off directly: entries in range(p),
+        # each row led by a 1 right of the previous row's leading 1, and each
+        # pivot column zero outside its own row.
+        width = self.ambient
+        pivots: list[int] = []
+        for row in self.basis:
+            lead = next((j for j, x in enumerate(row) if x), None)
+            if (
+                len(row) != width
+                or not all(x in range(self.p) for x in row)
+                or lead is None
+                or row[lead] != 1
+                or (pivots and lead <= pivots[-1])
+            ):
+                raise ValueError("basis is not in reduced row echelon form")
+            pivots.append(lead)
+        for i, row in enumerate(self.basis):
+            if any(row[c] for j, c in enumerate(pivots) if j != i):
                 raise ValueError("basis is not in reduced row echelon form")
 
     @property

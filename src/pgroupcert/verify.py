@@ -6,8 +6,11 @@ prod_{|S|=k} (1 + eps_k k!(n-k)! y_S) in the subring y_i = u_i v_i (the
 producer reads the same table from its closed form instead), re-runs the
 divisibility recursion for M, re-evaluates the symmetric functions,
 re-multiplies the Chern product, re-checks matrix congruences and re-runs
-the isotropic-subspace enumerations.  It never calls the producing
-solver; only the series/enumeration primitives are shared.
+the isotropic-subspace enumerations.  A form family whose k exceeds n is
+settled by nondegeneracy instead: its forms pass a rank check, and a
+nondegenerate form on F_p^(2n) has no isotropic subspace above dimension
+n.  It never calls the producing solver; only the series/enumeration
+primitives are shared.
 
 A content digest binds each document.  Checks that would be expensive to
 re-run are skipped (and reported as not run) once the digest has already
@@ -46,7 +49,6 @@ from .symplectic import (
     SymplecticForm,
     enumerate_isotropic,
     gaussian_binomial,
-    is_invertible,
 )
 
 
@@ -139,17 +141,19 @@ def verify_document(
         )
     )
 
+    # Each kind's checker appends to results as it goes, so a check that
+    # raises on a malformed field still leaves the ones computed before it.
     try:
         if kind == "construction":
-            results.extend(_verify_construction(doc["certificate"], digest_ok, budget))
+            _verify_construction(doc["certificate"], digest_ok, budget, results)
         elif kind == "group":
-            results.extend(_verify_group(doc["certificate"], digest_ok))
+            _verify_group(doc["certificate"], digest_ok, results)
         elif kind == "olshanskii":
-            results.extend(_verify_olshanskii(doc["certificate"], digest_ok, budget))
+            _verify_olshanskii(doc["certificate"], digest_ok, budget, results)
         elif kind == "lambda_table":
-            results.extend(_verify_lambda_table(doc["certificate"]))
+            _verify_lambda_table(doc["certificate"], results)
         elif kind == "prime":
-            results.extend(_verify_prime(doc["certificate"]))
+            _verify_prime(doc["certificate"], results)
         else:
             results.append(CheckResult("kind", False, f"unknown document kind {kind!r}"))
     except ParseError:
@@ -172,21 +176,21 @@ def _skipped(name: str) -> CheckResult:
 # -- construction certificates -------------------------------------------------
 
 
-def _verify_construction(cert: dict, digest_ok: bool, budget: int) -> list[CheckResult]:
-    out: list[CheckResult] = []
+def _verify_construction(cert: dict, digest_ok: bool, budget: int, out: list[CheckResult]) -> None:
     n = decode_int(cert["n"])
     r = decode_int(cert["r"])
-    params_ok = 1 <= n <= MAX_SYMMETRIZATION_N and r >= 1
+    p = decode_int(cert["p"])
+    params_ok = 1 <= n <= MAX_SYMMETRIZATION_N and r >= 1 and p >= 3 and p % 2 == 1
     out.append(
         _check(
             "params",
             params_ok,
-            f"bad parameters n={n}, r={r} (need 1 <= n <= {MAX_SYMMETRIZATION_N}, r >= 1)",
+            f"bad parameters n={n}, r={r}, p={p} "
+            f"(need 1 <= n <= {MAX_SYMMETRIZATION_N}, r >= 1 and an odd p >= 3)",
         )
     )
     if not params_ok:
-        return out
-    p = decode_int(cert["p"])
+        return
     M = decode_int(cert["M"])
     residues = decode_int_list(cert["residues"])
     lifts = decode_int_list(cert["a"])
@@ -317,14 +321,12 @@ def _verify_construction(cert: dict, digest_ok: bool, budget: int) -> list[Check
             "certificate records a failed check",
         )
     )
-    return out
 
 
 # -- group reports --------------------------------------------------------------
 
 
-def _verify_group(cert: dict, digest_ok: bool) -> list[CheckResult]:
-    out: list[CheckResult] = []
+def _verify_group(cert: dict, digest_ok: bool, out: list[CheckResult]) -> None:
     n = decode_int(cert["n"])
     p = decode_int(cert["p"])
     params_ok = 1 <= n <= MAX_GROUP_N and p >= 3 and p % 2 == 1
@@ -336,7 +338,7 @@ def _verify_group(cert: dict, digest_ok: bool) -> list[CheckResult]:
         )
     )
     if not params_ok:
-        return out
+        return
     mode = cert["mode"]
     order = decode_int(cert["order"])
     stored_max = decode_int(cert["max_abelian_order"])
@@ -361,7 +363,7 @@ def _verify_group(cert: dict, digest_ok: bool) -> list[CheckResult]:
 
     if not digest_ok:
         out.append(_skipped("bound_recomputation"))
-        return out
+        return
 
     try:
         structural = max_abelian_exponent(n, p)
@@ -385,14 +387,12 @@ def _verify_group(cert: dict, digest_ok: bool) -> list[CheckResult]:
             )
     except BudgetExceeded as exc:
         out.append(CheckResult("bound_recomputation", False, str(exc)))
-    return out
 
 
 # -- product-subgroup (form family) certificates ---------------------------------
 
 
-def _verify_olshanskii(cert: dict, digest_ok: bool, budget: int) -> list[CheckResult]:
-    out: list[CheckResult] = []
+def _verify_olshanskii(cert: dict, digest_ok: bool, budget: int, out: list[CheckResult]) -> None:
     n = decode_int(cert["n"])
     p = decode_int(cert["p"])
     r = decode_int(cert["r"])
@@ -426,7 +426,7 @@ def _verify_olshanskii(cert: dict, digest_ok: bool, budget: int) -> list[CheckRe
         )
     )
     if not params_ok:
-        return out
+        return
 
     out.append(
         _check(
@@ -435,11 +435,17 @@ def _verify_olshanskii(cert: dict, digest_ok: bool, budget: int) -> list[CheckRe
             f"k={k} is not the floor(4n/r)+2 choice or violates 4n < r(k-1)",
         )
     )
-    invertible = all(is_invertible(a, p) for a in mats)
+    # A square A is invertible exactly when its pullback A^T M A is
+    # nondegenerate, and the pullback proves that by rank, so one row
+    # reduction per matrix settles both.
+    standard = SymplecticForm.standard(n, p)
+    try:
+        forms = [standard.pullback(a) for a in mats]
+    except ValueError:
+        forms = []
+    invertible = len(forms) == r
     out.append(_check("matrices_invertible", invertible, "some A_j is not invertible mod p"))
 
-    standard = SymplecticForm.standard(n, p)
-    forms = [standard.pullback(a) for a in mats] if invertible else []
     congruent = invertible and [f.matrix for f in forms] == form_matrices
     out.append(
         _check(
@@ -457,13 +463,24 @@ def _verify_olshanskii(cert: dict, digest_ok: bool, budget: int) -> list[CheckRe
 
     if not digest_ok:
         out.append(_skipped("isotropic_enumeration"))
-        return out
+        return
     if not congruent:
         out.append(CheckResult("isotropic_enumeration", False, "not run: forms invalid"))
-        return out
+        return
 
-    try:
-        common = enumerate_isotropic(forms, k, budget=budget)
+    if k > n:
+        # Every form is nondegenerate, so no subspace above dimension n is
+        # isotropic for any of them: W lies in W-perp, of dimension 2n - dim W.
+        detail = f"nondegeneracy: k={k} > n={n}"
+        if not certified:
+            detail += f", but certified={certified}"
+        out.append(CheckResult("isotropic_enumeration", certified, detail))
+    else:
+        try:
+            common = enumerate_isotropic(forms, k, budget=budget)
+        except BudgetExceeded as exc:
+            out.append(CheckResult("isotropic_enumeration", False, str(exc)))
+            return
         out.append(
             _check(
                 "isotropic_enumeration",
@@ -472,16 +489,13 @@ def _verify_olshanskii(cert: dict, digest_ok: bool, budget: int) -> list[CheckRe
                 f"certified={certified}",
             )
         )
-    except BudgetExceeded as exc:
-        out.append(CheckResult("isotropic_enumeration", False, str(exc)))
-        return out
 
     bound = cert.get("bound")
     if bound is not None and bound.get("max_common_isotropic_dim") is not None:
         stored_d = decode_int(bound["max_common_isotropic_dim"])
         d_exact = None
         try:
-            for d in range(min(k - 1, 2 * n), -1, -1):
+            for d in range(min(k - 1, n), -1, -1):
                 if enumerate_isotropic(forms, d, budget=budget):
                     d_exact = d
                     break
@@ -495,14 +509,12 @@ def _verify_olshanskii(cert: dict, digest_ok: bool, budget: int) -> list[CheckRe
             )
         except BudgetExceeded as exc:
             out.append(CheckResult("exact_abelian_bound", False, str(exc)))
-    return out
 
 
 # -- bound tables and prime documents ---------------------------------------------
 
 
-def _verify_lambda_table(cert: dict) -> list[CheckResult]:
-    out: list[CheckResult] = []
+def _verify_lambda_table(cert: dict, out: list[CheckResult]) -> None:
     max_n = decode_int(cert["max_n"])
     max_r = decode_int(cert["max_r"])
     rows = cert["rows"]
@@ -555,15 +567,13 @@ def _verify_lambda_table(cert: dict) -> list[CheckResult]:
                 "stored epsilon witness does not re-derive",
             )
         )
-    return out
 
 
-def _verify_prime(cert: dict) -> list[CheckResult]:
-    out: list[CheckResult] = []
+def _verify_prime(cert: dict, out: list[CheckResult]) -> None:
     n = decode_int(cert["n"])
     if not 1 <= n <= MAX_SYMMETRIZATION_N:
         out.append(CheckResult("M", False, f"n={n} is outside 1..{MAX_SYMMETRIZATION_N}"))
-        return out
+        return
     h = decode_int(cert["h"])
     min_p = decode_int(cert["min"])
     p = decode_int(cert["prime"])
@@ -591,4 +601,3 @@ def _verify_prime(cert: dict) -> list[CheckResult]:
             break
         candidate += n + 1
     out.append(_check("prime_minimal", minimal, f"{candidate} qualifies and is smaller"))
-    return out

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from pgroupcert import products
 from pgroupcert.groups import max_abelian_order
 from pgroupcert.products import (
     ProductSubgroupSpec,
@@ -17,7 +18,7 @@ from pgroupcert.products import (
     product_mul,
     product_subgroup_bound,
 )
-from pgroupcert.symplectic import enumerate_isotropic
+from pgroupcert.symplectic import BudgetExceeded, enumerate_isotropic
 
 
 def test_isotropy_free_dimension():
@@ -115,3 +116,81 @@ def test_product_elements_satisfy_constraint():
     for v in itertools.product(range(3), repeat=2):
         g = product_element(spec, v, (0, 1))
         assert common_projection(spec, g) == v
+
+
+def test_spec_rejects_wrongly_shaped_matrices():
+    spec = olshanskii_search(1, 2, 3, seed=7)
+    tall = ((1, 0), (0, 1), (1, 1))  # 3 x 2: pullback would silently drop the last row
+    wide = ((1, 0, 0), (0, 1, 0))
+    for bad in (tall, wide):
+        with pytest.raises(ValueError, match="A_2 is not 2 x 2"):
+            ProductSubgroupSpec(n=1, p=3, r=2, k=4, mats=(spec.mats[0], bad), certified=True)
+
+
+def _refuse_enumeration(*args, **kwargs):
+    raise AssertionError("enumerate_isotropic called")
+
+
+def test_k_above_n_is_certified_by_nondegeneracy(monkeypatch):
+    monkeypatch.setattr(products, "enumerate_isotropic", _refuse_enumeration)
+    spec = olshanskii_search(4, 4, 3, seed=7)
+    assert (spec.k, spec.n) == (6, 4)
+    assert spec.certified
+    assert spec.transcript["attempts"] == [{"attempt": 1, "common_isotropic_found": 0}]
+    assert spec.transcript["subspaces_examined_per_attempt"] == 896260
+
+
+def test_k_at_most_n_is_certified_by_enumeration(monkeypatch):
+    calls = []
+
+    def counting(forms, k, budget):
+        calls.append(k)
+        return enumerate_isotropic(forms, k, budget=budget)
+
+    monkeypatch.setattr(products, "enumerate_isotropic", counting)
+    spec = olshanskii_search(3, 7, 3, seed=1)
+    assert (spec.k, spec.n) == (3, 3)
+    assert spec.certified
+    assert calls == [3] * len(spec.transcript["attempts"])
+
+
+def _exact_dim_from_2n(spec, budget):
+    """The exact-dimension search as it was, starting at min(k-1, 2n)."""
+    for d in range(min(spec.k - 1, 2 * spec.n), -1, -1):
+        try:
+            if enumerate_isotropic(list(spec.forms), d, budget=budget):
+                return d
+        except BudgetExceeded:
+            return None
+    return None
+
+
+@pytest.mark.parametrize(
+    "n,r,seed,budget",
+    [
+        (1, 2, 7, 10**7),
+        (1, 3, 1, 10**7),
+        (2, 2, 1, 10**7),
+        (2, 3, 2, 10**7),
+        (2, 4, 5, 10**7),
+        (2, 3, 2, 129),  # gb(4, 2, 3) = 130 is just over, gb(4, 3, 3) = 40 fits
+        (3, 2, 4, 10**7),
+        (3, 3, 1, 10**7),
+        (3, 3, 1, 33_879),  # gb(6, 3, 3) = 33,880 is just over
+        (3, 7, 1, 10**7),
+    ],
+)
+def test_exact_dimension_search_starts_at_n(n, r, seed, budget):
+    spec = olshanskii_search(n, r, 3, seed=seed)
+    assert spec.certified
+    bound = product_subgroup_bound(spec, exact_budget=budget)
+    assert bound.max_common_isotropic_dim == _exact_dim_from_2n(spec, budget)
+
+
+def test_exact_dimension_search_on_a_shared_lagrangian():
+    n, r = 2, 2
+    mats = (identity_matrix(2 * n),) * r
+    spec = ProductSubgroupSpec(n=n, p=3, r=r, k=isotropy_free_dimension(n, r), mats=mats, certified=True)
+    for budget in (10**7, 130, 129):
+        bound = product_subgroup_bound(spec, exact_budget=budget)
+        assert bound.max_common_isotropic_dim == _exact_dim_from_2n(spec, budget)

@@ -158,3 +158,72 @@ def test_flagship_family_has_no_common_isotropic_6_space():
     spec = olshanskii_search(4, 4, 3, seed=7)
     assert spec.k == 6
     assert enumerate_isotropic(list(spec.forms), 6) == []
+
+
+def _rref_accepts(p, basis):
+    """The former Subspace check: a basis is valid when row reduction leaves it unchanged."""
+    if not basis:
+        return True
+    reduced, _ = rref_mod_p(basis, p)
+    return tuple(tuple(row) for row in reduced) == basis
+
+
+def _subspace_accepts(p, basis):
+    try:
+        Subspace(p, basis)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def _small_bases(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    cols = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(-1, p), min_size=cols, max_size=cols), max_size=4))
+    if draw(st.booleans()):
+        # Most random matrices are not reduced; their reduced forms, with at
+        # most one entry changed, cover the bases that pass and the near misses.
+        rows, _ = rref_mod_p(rows, p)
+        if rows and draw(st.booleans()):
+            i = draw(st.integers(0, len(rows) - 1))
+            j = draw(st.integers(0, cols - 1))
+            rows[i][j] = draw(st.integers(-1, p))
+    return p, tuple(tuple(row) for row in rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_small_bases())
+def test_subspace_check_matches_row_reduction(case):
+    p, basis = case
+    assert _subspace_accepts(p, basis) == _rref_accepts(p, basis)
+
+
+def test_subspace_check_rejects_each_shape_fault():
+    assert _subspace_accepts(3, ((1, 0, 2), (0, 1, 1)))
+    for basis in [
+        ((1, 0, 3),),  # entry outside range(p)
+        ((1, 0, -1),),  # negative entry
+        ((0, 0, 0),),  # zero row
+        ((0, 2, 1),),  # leading entry not 1
+        ((0, 1, 0), (1, 0, 0)),  # pivots not increasing
+        ((1, 1, 0), (0, 1, 0)),  # pivot column nonzero in another row
+        ((1, 0, 0), (0, 1)),  # ragged rows
+    ]:
+        assert not _subspace_accepts(3, basis), basis
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    half=st.integers(1, 2),
+    p=st.sampled_from([3, 5]),
+    count=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_no_common_isotropic_space_above_half_dimension(half, p, count, seed):
+    # The rank argument that settles k > n families, witnessed by enumeration.
+    rng = random.Random(seed)
+    standard = SymplecticForm.standard(half, p)
+    forms = [standard.pullback(random_invertible(2 * half, p, rng)) for _ in range(count)]
+    for k in range(half + 1, 2 * half + 1):
+        assert enumerate_isotropic(forms, k) == []

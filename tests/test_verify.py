@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from pgroupcert import certdoc, verify
+from pgroupcert import certdoc, products, verify
 from pgroupcert.exterior import MAX_SYMMETRIZATION_N
 from pgroupcert.groups import MAX_GROUP_N, brute_force_lambda, group_order, max_abelian_exponent
 from pgroupcert.products import ProductSubgroupSpec, identity_matrix, olshanskii_search, product_subgroup_bound
@@ -322,3 +322,101 @@ def test_structural_only_abelian_bound_says_so():
     over = {result.name: result for result in verify_document(doc, budget=399).results}
     assert over["abelian_bound_structural"].passed
     assert over["abelian_bound_structural"].detail == "structural-only: 400 subspaces over budget 399"
+
+
+def _refuse_enumeration(*args, **kwargs):
+    raise AssertionError("enumerate_isotropic called")
+
+
+def _count_enumerations(monkeypatch):
+    """Patch the verifier's enumerate_isotropic to record each k it is called with."""
+    calls = []
+
+    def counting(forms, k, budget):
+        calls.append(k)
+        return enumerate_isotropic(forms, k, budget=budget)
+
+    monkeypatch.setattr(verify, "enumerate_isotropic", counting)
+    return calls
+
+
+def _flip_certified(doc):
+    doc = json.loads(json.dumps(doc))
+    doc["certificate"]["certified"] = not doc["certificate"]["certified"]
+    return fix_digest(doc)
+
+
+def test_k_above_n_is_verified_by_nondegeneracy(monkeypatch):
+    monkeypatch.setattr(products, "enumerate_isotropic", _refuse_enumeration)
+    monkeypatch.setattr(verify, "enumerate_isotropic", _refuse_enumeration)
+    spec = olshanskii_search(4, 4, 3, seed=7)
+    doc = certdoc.build_document(
+        "olshanskii", "olshanskii", {"n": 4, "r": 4, "p": 3, "seed": 7}, certdoc.olshanskii_payload(spec, None)
+    )
+    report = verify_document(reserialize(doc))
+    assert report.ok, report.failures()
+    checks = {result.name: result for result in report.results}
+    assert checks["isotropic_enumeration"].detail == "nondegeneracy: k=6 > n=4"
+    flipped = verify_document(_flip_certified(doc))
+    assert [result.name for result in flipped.failures()] == ["isotropic_enumeration"]
+
+
+def test_k_at_most_n_is_verified_by_enumeration(monkeypatch):
+    doc = olshanskii_doc(3, 7, 3, seed=1)
+    calls = _count_enumerations(monkeypatch)
+    assert verify_document(reserialize(doc)).ok
+    assert calls[0] == 3
+    calls.clear()
+    flipped = verify_document(_flip_certified(doc))
+    assert [result.name for result in flipped.failures()] == ["isotropic_enumeration"]
+    assert calls[0] == 3
+
+
+def test_exact_dimension_is_searched_from_n_down(monkeypatch):
+    doc = olshanskii_doc(2, 2, 3, seed=1)  # k = 6, and two forms share an isotropic plane
+    assert doc["certificate"]["bound"]["max_common_isotropic_dim"] == 2
+    calls = _count_enumerations(monkeypatch)
+    assert verify_document(reserialize(doc)).ok
+    assert calls == [2]
+
+
+def test_singular_matrix_fails_invertibility():
+    doc = json.loads(json.dumps(olshanskii_doc(1, 2, 3)))
+    doc["certificate"]["mats"][1] = [[1, 2], [2, 1]]
+    report = verify_document(fix_digest(doc))
+    assert report.results[0].passed
+    failed = [result.name for result in report.failures()]
+    assert failed == ["matrices_invertible", "form_congruence", "isotropic_enumeration"]
+
+
+def test_tall_matrix_fails_params():
+    doc = json.loads(json.dumps(olshanskii_doc(1, 2, 3)))
+    doc["certificate"]["mats"][1].append([1, 1])  # 3 x 2
+    report = verify_document(fix_digest(doc))
+    assert [result.name for result in report.failures()] == ["params"]
+
+
+def test_checks_computed_before_a_malformed_field_are_kept():
+    doc = json.loads(json.dumps(olshanskii_doc(1, 2, 3)))
+    doc["certificate"]["k"] = -1
+    report = verify_document(fix_digest(doc))
+    names = [result.name for result in report.results]
+    assert names == [
+        "document_digest",
+        "params",
+        "k_choice",
+        "matrices_invertible",
+        "form_congruence",
+        "bound_exponents",
+        "well_formed",
+    ]
+    assert [result.name for result in report.failures()] == ["k_choice", "bound_exponents", "well_formed"]
+
+
+@pytest.mark.parametrize("p", [0, 1, -3])
+def test_construction_p_is_rejected_by_params(p):
+    doc = construction_doc(2, 1, 7)
+    doc["certificate"]["p"] = p
+    report = verify_document(fix_digest(doc))
+    assert report.results[0].passed
+    assert [result.name for result in report.failures()] == ["params"]
