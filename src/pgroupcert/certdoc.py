@@ -15,11 +15,13 @@ import hashlib
 import json
 from datetime import datetime, timezone
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .products import ProductBound, ProductSubgroupSpec
 from .series import OmegaSeries
-from .solver import ConstructionCertificate, LambdaRow
+
+if TYPE_CHECKING:
+    from .products import ProductBound, ProductSubgroupSpec
+    from .solver import ConstructionCertificate, LambdaRow
 
 SCHEMA_VERSION = "1"
 

@@ -10,16 +10,20 @@ commutator law reads [g, h] = f^(omega(eta(g), eta(h))) with the standard
 symplectic form omega and f the central generator (0, 0, 1); the sign is
 pinned by the test suite via [a_i, b_i] = f.
 
-Two independent routes to the maximal-abelian-subgroup order are
-provided: a structural computation through isotropic subspaces, and a
-brute-force oracle that only uses the group operation.
+The law is written once, in group_law, on coordinate tuples x + y + (z,);
+HeisenbergElement multiplies through it.  Two independent routes to the
+maximal-abelian-subgroup order are provided: a structural computation
+through isotropic subspaces, and a brute-force oracle that only uses the
+group law.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Sequence
 
 from .symplectic import (
@@ -35,6 +39,16 @@ DEFAULT_BRUTE_BUDGET = 10_000
 #: Largest n for which group reports are produced and re-checked; the
 #: structural bound costs O(n^3) arithmetic on n-dependent matrices.
 MAX_GROUP_N = 64
+
+
+Coords = tuple[int, ...]
+
+
+def group_law(p: int, g: Coords, h: Coords) -> Coords:
+    """The product of two elements given as coordinate tuples x + y + (z,), reduced mod p."""
+    n = len(g) // 2
+    twist = sum(map(operator.mul, g[:n], h[n : 2 * n]))
+    return (*[(a + b) % p for a, b in zip(g[: 2 * n], h[: 2 * n])], (g[-1] + h[-1] + twist) % p)
 
 
 @dataclass(frozen=True)
@@ -60,16 +74,16 @@ class HeisenbergElement:
                 f"elements of different groups: (n,p)=({self.n},{self.p}) vs ({other.n},{other.p})"
             )
 
+    @classmethod
+    def from_coords(cls, n: int, p: int, coords: Coords) -> "HeisenbergElement":
+        return cls(n, p, coords[:n], coords[n : 2 * n], coords[2 * n])
+
+    def coords(self) -> Coords:
+        return self.x + self.y + (self.z,)
+
     def __mul__(self, other: "HeisenbergElement") -> "HeisenbergElement":
         self._check_compatible(other)
-        twist = sum(a * b for a, b in zip(self.x, other.y))
-        return HeisenbergElement(
-            self.n,
-            self.p,
-            tuple(a + b for a, b in zip(self.x, other.x)),
-            tuple(a + b for a, b in zip(self.y, other.y)),
-            self.z + other.z + twist,
-        )
+        return HeisenbergElement.from_coords(self.n, self.p, group_law(self.p, self.coords(), other.coords()))
 
     def inverse(self) -> "HeisenbergElement":
         twist = sum(a * b for a, b in zip(self.x, self.y))
@@ -132,16 +146,15 @@ def group_order(n: int, p: int) -> int:
     return p ** (2 * n + 1)
 
 
-def enumerate_group(n: int, p: int, budget: int = DEFAULT_BRUTE_BUDGET) -> list[HeisenbergElement]:
+def _all_coords(n: int, p: int, budget: int) -> list[Coords]:
     order = group_order(n, p)
     if order > budget:
         raise BudgetExceeded(order, budget, what="group elements")
-    out = []
-    for coords in itertools.product(range(p), repeat=2 * n + 1):
-        out.append(
-            HeisenbergElement(n, p, coords[:n], coords[n : 2 * n], coords[2 * n])
-        )
-    return out
+    return list(itertools.product(range(p), repeat=2 * n + 1))
+
+
+def enumerate_group(n: int, p: int, budget: int = DEFAULT_BRUTE_BUDGET) -> list[HeisenbergElement]:
+    return [HeisenbergElement.from_coords(n, p, c) for c in _all_coords(n, p, budget)]
 
 
 def max_abelian_order(elements: Sequence, mul: Callable) -> int:
@@ -156,21 +169,12 @@ def max_abelian_order(elements: Sequence, mul: Callable) -> int:
     maximal one, so the maximum order over this family is exact.
     """
     index = {g: i for i, g in enumerate(elements)}
-    products = {}
-
-    def prod(i: int, j: int) -> int:
-        key = (i, j)
-        hit = products.get(key)
-        if hit is None:
-            hit = index[mul(elements[i], elements[j])]
-            products[key] = hit
-        return hit
+    # table[i][j] is the index of elements[i] * elements[j]; the centralizers
+    # below read every entry, so it is filled once, up front.
+    table = [[index[mul(g, h)] for h in elements] for g in elements]
 
     m = len(elements)
-    centralizers: set[frozenset[int]] = set()
-    for i in range(m):
-        cent = frozenset(j for j in range(m) if prod(i, j) == prod(j, i))
-        centralizers.add(cent)
+    centralizers = {frozenset(j for j in range(m) if row[j] == table[j][i]) for i, row in enumerate(table)}
 
     closed = set(centralizers)
     frontier = list(centralizers)
@@ -190,13 +194,13 @@ def max_abelian_order(elements: Sequence, mul: Callable) -> int:
             break
         members = sorted(candidate)
         abelian = all(
-            prod(i, j) == prod(j, i) for i, j in itertools.combinations(members, 2)
+            table[i][j] == table[j][i] for i, j in itertools.combinations(members, 2)
         )
         if not abelian:
             continue
         member_set = set(members)
         closed_under_product = all(
-            prod(i, j) in member_set for i in members for j in members
+            table[i][j] in member_set for i in members for j in members
         )
         if closed_under_product:
             best = len(candidate)
@@ -209,10 +213,9 @@ def brute_force_lambda(
     """Exact maximal abelian subgroup order and log|A|/log|Gamma| by exhaustion.
 
     Independent of the symplectic correspondence: only group
-    multiplication is used.
+    multiplication is used, applied to coordinate tuples.
     """
-    elements = enumerate_group(n, p, budget=budget)
-    best = max_abelian_order(elements, lambda g, h: g * h)
+    best = max_abelian_order(_all_coords(n, p, budget), partial(group_law, p))
     exponent = 0
     order = best
     while order % p == 0:

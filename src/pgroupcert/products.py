@@ -19,12 +19,9 @@ When k <= n the family is verified by exhaustive subspace enumeration.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
 
-from .groups import HeisenbergElement
 from .primes import is_prime
 from .symplectic import (
     DEFAULT_SUBSPACE_BUDGET,
@@ -113,9 +110,10 @@ def olshanskii_search(
     """Search for r symplectic forms on F_p^(2n) with no common k-dimensional isotropic subspace.
 
     A_1 is always the identity; the rest are sampled from the seeded rng.
-    When k > n the first family drawn is certified by nondegeneracy, and
-    no subspace is enumerated; otherwise certification is by exhaustive
-    enumeration.  If no family
+    When k > n the first family drawn is certified by nondegeneracy, no
+    subspace is enumerated and the budget does not apply; otherwise
+    certification is by exhaustive enumeration, refused up front when
+    the Gaussian binomial exceeds the budget.  If no family
     passes within the attempt budget the result comes back uncertified,
     with the transcript recording every attempt; existence for small
     parameters is not guaranteed, so honest exhaustion is a valid
@@ -131,7 +129,7 @@ def olshanskii_search(
         raise ValueError(f"p={p} is not an odd prime")
     k = isotropy_free_dimension(n, r)
     total = gaussian_binomial(2 * n, k, p)
-    if total > budget:
+    if k <= n and total > budget:
         raise BudgetExceeded(total, budget)
     rng = random.Random(seed)
     transcript: dict = {"seed": seed, "attempts": [], "subspaces_examined_per_attempt": total}
@@ -188,63 +186,3 @@ def product_subgroup_bound(
         exact_abelian_exponent=None if d_exact is None else spec.r + d_exact,
         max_common_isotropic_dim=d_exact,
     )
-
-
-# -- explicit product-group elements (used to cross-check the commutation criterion) --
-
-
-def product_element(
-    spec: ProductSubgroupSpec, v: Sequence[int], zs: Sequence[int]
-) -> tuple[HeisenbergElement, ...]:
-    """The tuple with common projection v and central coordinates zs."""
-    n, p = spec.n, spec.p
-    if len(v) != 2 * n or len(zs) != spec.r:
-        raise ValueError("v must have length 2n and zs length r")
-    out = []
-    for a, z in zip(spec.mats, zs):
-        image = tuple(sum(a[i][j] * v[j] for j in range(2 * n)) % p for i in range(2 * n))
-        out.append(HeisenbergElement(n, p, image[:n], image[n:], z))
-    return tuple(out)
-
-
-def product_mul(
-    g: tuple[HeisenbergElement, ...], h: tuple[HeisenbergElement, ...]
-) -> tuple[HeisenbergElement, ...]:
-    return tuple(a * b for a, b in zip(g, h))
-
-
-def common_projection(spec: ProductSubgroupSpec, g: tuple[HeisenbergElement, ...]) -> tuple[int, ...]:
-    """A_1^-1 eta(g_1); with A_1 = I this is just eta(g_1)."""
-    n, p = spec.n, spec.p
-    a1 = [list(row) for row in spec.mats[0]]
-    target = list(g[0].eta())
-    # solve A_1 w = eta(g_1) by elimination
-    aug = [row + [t] for row, t in zip(a1, target)]
-    dim = 2 * n
-    r = 0
-    for c in range(dim):
-        pivot = next((i for i in range(r, dim) if aug[i][c] % p), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = pow(aug[r][c], -1, p)
-        aug[r] = [x * inv % p for x in aug[r]]
-        for i in range(dim):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[r])]
-        r += 1
-    return tuple(aug[i][dim] for i in range(dim))
-
-
-def iterate_product_group(
-    spec: ProductSubgroupSpec, budget: int = 10_000
-) -> Iterator[tuple[HeisenbergElement, ...]]:
-    """All p^(2n+r) elements of the product subgroup."""
-    n, p, r = spec.n, spec.p, spec.r
-    order = p ** (2 * n + r)
-    if order > budget:
-        raise BudgetExceeded(order, budget, what="group elements")
-    for v in itertools.product(range(p), repeat=2 * n):
-        for zs in itertools.product(range(p), repeat=r):
-            yield product_element(spec, v, zs)

@@ -95,9 +95,14 @@ class RootFamily:
 
 
 def _primitive_root_mod_prime_power(p: int, n: int) -> int:
-    """A generator of the cyclic group (Z/p^n)*, p an odd prime."""
+    """A generator of the cyclic group (Z/p^n)*, p an odd prime.
+
+    The primes dividing phi = (p-1) p^(n-1) are those of p-1, and p itself
+    when n >= 2; factoring p-1 alone keeps trial division from running up
+    to p on the leftover p^2 when n >= 3.
+    """
     phi = (p - 1) * p ** (n - 1)
-    factors = primes.prime_factors(phi)
+    factors = primes.prime_factors(p - 1) + ([p] if n >= 2 else [])
     g = 2
     while True:
         if g % p and all(pow(g, phi // ell, p**n) != 1 for ell in factors):

@@ -20,8 +20,7 @@ of subspaces decided, not the number of candidate rows touched.  When k
 exceeds n the form-family search decides all of them without this
 search: a nondegenerate form on F_p^(2n) has no isotropic subspace of
 dimension above n, since W lies in W-perp and dim W-perp = 2n - dim W.
-enumerate_subspaces walks every basis one by one and is the reference
-the tests hold the search to.
+The tests hold the search to a plain walk over every echelon basis.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import mul
 from typing import Callable, Sequence
 
@@ -124,12 +124,8 @@ class SymplecticForm:
 
     @classmethod
     def standard(cls, n: int, p: int) -> "SymplecticForm":
-        """omega((x,y),(x',y')) = sum x_j y'_j - x'_j y_j."""
-        m = [[0] * (2 * n) for _ in range(2 * n)]
-        for i in range(n):
-            m[i][n + i] = 1
-            m[n + i][i] = p - 1
-        return cls(p, _as_matrix(m, p))
+        """omega((x,y),(x',y')) = sum x_j y'_j - x'_j y_j; built and checked once per (n, p)."""
+        return _standard_form(n, p)
 
     def evaluate(self, u: Sequence[int], v: Sequence[int]) -> int:
         total = 0
@@ -145,6 +141,16 @@ class SymplecticForm:
         images = [tuple(sum(map(mul, row, col)) for row in self.matrix) for col in cols]
         gram = tuple(tuple(sum(map(mul, u, v)) % self.p for v in images) for u in cols)
         return SymplecticForm(self.p, gram)
+
+
+@lru_cache(maxsize=64)
+def _standard_form(n: int, p: int) -> SymplecticForm:
+    # SymplecticForm is frozen, so every caller can share one checked instance.
+    m = [[0] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        m[i][n + i] = 1
+        m[n + i][i] = p - 1
+    return SymplecticForm(p, _as_matrix(m, p))
 
 
 @dataclass(frozen=True)
@@ -275,7 +281,7 @@ def enumerate_isotropic(
     if k < 0:
         raise ValueError("k must be nonnegative")
     if not forms:
-        raise ValueError("empty form list: use enumerate_subspaces instead")
+        raise ValueError("need at least one form")
     p = forms[0].p
     dim = forms[0].dim
     for f in forms:
@@ -307,26 +313,3 @@ def enumerate_isotropic(
         survivors.extend(bases)
     assert decided == total, f"decided {decided} subspaces, expected {total}"
     return [Subspace(p, basis) for basis in sorted(survivors)]
-
-
-def enumerate_subspaces(dim: int, p: int, k: int, budget: int = DEFAULT_SUBSPACE_BUDGET) -> list[Subspace]:
-    """All k-dimensional subspaces of F_p^dim (no isotropy constraint).
-
-    Plain Python over every echelon basis; the tests use it, with
-    Subspace.is_isotropic_for, as the reference for enumerate_isotropic.
-    """
-    if k > dim:
-        return []
-    total = gaussian_binomial(dim, k, p)
-    if total > budget:
-        raise BudgetExceeded(total, budget)
-    out = []
-    for pivots in itertools.combinations(range(dim), k):
-        free = [(i, j) for i in range(k) for j in range(pivots[i] + 1, dim) if j not in pivots]
-        for values in itertools.product(range(p), repeat=len(free)):
-            basis = [[int(j == c) for j in range(dim)] for c in pivots]
-            for (i, j), v in zip(free, values):
-                basis[i][j] = v
-            out.append(Subspace(p, _as_matrix(basis, p)))
-    assert len(out) == total
-    return out

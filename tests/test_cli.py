@@ -113,6 +113,16 @@ def test_olshanskii_vacuous_case(runner, tmp_path):
     assert verify_result.exit_code == 0, verify_result.output
 
 
+def test_olshanskii_k_above_n_needs_no_budget(runner, tmp_path):
+    # k = 7 > n = 5; gb(10, 7, 3) = 18,326,727,760 is far over the default budget
+    out = tmp_path / "olsh.json"
+    result = runner.invoke(main, ["olshanskii", "--n", "5", "--r", "4", "--p", "3", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    verify_result = runner.invoke(main, ["verify", str(out)])
+    assert verify_result.exit_code == 0, verify_result.output
+    assert "nondegeneracy: k=7 > n=5" in verify_result.output
+
+
 def test_olshanskii_requires_r_at_least_2(runner):
     result = runner.invoke(main, ["olshanskii", "--n", "2", "--r", "1", "--p", "5"])
     assert result.exit_code == 2

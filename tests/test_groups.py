@@ -1,6 +1,7 @@
 """Heisenberg groups: presentation, commutator law, abelian-subgroup oracles."""
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -13,9 +14,11 @@ from pgroupcert.groups import (
     gen_a,
     gen_b,
     gen_f,
+    group_law,
     group_order,
     identity,
     max_abelian_exponent,
+    max_abelian_order,
 )
 from pgroupcert.symplectic import BudgetExceeded, SymplecticForm
 
@@ -95,6 +98,30 @@ def test_brute_force_lambda(n, p, expected_order, expected_lambda):
     order, lam = brute_force_lambda(n, p)
     assert order == expected_order == p ** (n + 1)
     assert lam == expected_lambda
+
+
+@pytest.mark.parametrize("n,p", CASES)
+def test_group_law_is_the_documented_cocycle(n, p):
+    # (x, y, z) * (x', y', z') = (x + x', y + y', z + z' + <x, y'>) mod p
+    rng = random.Random(n * 100 + p)
+    for _ in range(200):
+        g, h = (tuple(rng.randrange(p) for _ in range(2 * n + 1)) for _ in range(2))
+        x, y, z = g[:n], g[n : 2 * n], g[-1]
+        x2, y2, z2 = h[:n], h[n : 2 * n], h[-1]
+        expected = (
+            tuple((a + b) % p for a, b in zip(x, x2))
+            + tuple((a + b) % p for a, b in zip(y, y2))
+            + ((z + z2 + sum(a * b for a, b in zip(x, y2))) % p,)
+        )
+        assert group_law(p, g, h) == expected
+        product = HeisenbergElement.from_coords(n, p, g) * HeisenbergElement.from_coords(n, p, h)
+        assert product.coords() == expected
+
+
+@pytest.mark.parametrize("n,p", CASES)
+def test_tuple_oracle_matches_the_element_route(n, p):
+    order, _ = brute_force_lambda(n, p)
+    assert order == max_abelian_order(enumerate_group(n, p), operator.mul)
 
 
 def test_brute_force_budget():

@@ -1,0 +1,86 @@
+"""The package namespace: names load on first use, and each entry point loads only what it needs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import pgroupcert
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Every name the package exports; README and the demos import from here.
+EXPORTED = {
+    "OmegaPowerRow", "SymmetrizationError", "a_table", "atilde_table", "omega_power_table",
+    "symmetrization_coefficients",
+    "HeisenbergElement", "brute_force_lambda", "enumerate_group", "gen_a", "gen_b", "gen_f",
+    "group_order", "identity", "max_abelian_exponent", "max_abelian_order",
+    "ProductBound", "ProductSubgroupSpec", "isotropy_free_dimension", "olshanskii_search",
+    "product_subgroup_bound",
+    "BundleDescriptor", "OmegaSeries", "chern_F", "chern_G", "direct_sum", "line_power_chern",
+    "pullback_w", "series_inverse", "series_mul",
+    "CertificationError", "ConstructionCertificate", "DeltaSolution", "DivisibilityError",
+    "LambdaRow", "PreconditionError", "RootFamily", "SearchExhausted", "certify", "compute_M",
+    "epsilon_witness", "find_prime", "find_roots", "lambda_table", "rank_formula", "solve_deltas",
+    "BudgetExceeded", "Subspace", "SymplecticForm", "enumerate_isotropic", "gaussian_binomial",
+    "VerificationReport", "verify_document",
+}
+
+
+def test_all_lists_every_export_once():
+    assert len(pgroupcert.__all__) == len(set(pgroupcert.__all__))
+    assert set(pgroupcert.__all__) == EXPORTED
+
+
+@pytest.mark.parametrize("name", sorted(EXPORTED))
+def test_export_is_the_object_its_module_defines(name):
+    value = getattr(pgroupcert, name)
+    module = sys.modules[value.__module__]
+    assert module.__name__.startswith("pgroupcert.")
+    assert getattr(module, name) is value
+    assert vars(pgroupcert)[name] is value  # cached: the next read skips __getattr__
+    assert name in dir(pgroupcert)
+
+
+def test_star_import_and_unknown_names():
+    namespace: dict = {}
+    exec("from pgroupcert import *", namespace)
+    assert EXPORTED <= set(namespace)
+    with pytest.raises(AttributeError, match="no attribute 'enumerate_subspaces'"):
+        pgroupcert.enumerate_subspaces
+    with pytest.raises(ImportError):
+        exec("from pgroupcert import no_such_name", {})
+
+
+def _loaded_after(statement: str) -> set[str]:
+    """The pgroupcert modules a fresh interpreter holds after running ``statement``."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = f"{statement}\nimport sys\nprint(' '.join(m for m in sys.modules if m.startswith('pgroupcert')))"
+    result = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return set(result.stdout.split())
+
+
+def test_certdoc_loads_only_what_it_needs():
+    loaded = _loaded_after("import pgroupcert.certdoc")
+    assert loaded == {"pgroupcert", "pgroupcert.certdoc", "pgroupcert.series", "pgroupcert.exterior"}
+
+
+def test_verify_leaves_the_producer_out():
+    loaded = _loaded_after("import pgroupcert.verify")
+    assert not loaded & {"pgroupcert.solver", "pgroupcert.products", "pgroupcert.cli"}
+
+
+def test_cli_loads_every_traced_module_at_start():
+    # The benchmark's layer tracer patches only modules already loaded when it
+    # installs, right after `import pgroupcert.cli`, so the CLI must import
+    # every module it traces up front.
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import layers
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    traced = {target.module for target in layers.TARGETS}
+    assert traced <= _loaded_after("import pgroupcert.cli")

@@ -9,16 +9,13 @@ from pgroupcert import products
 from pgroupcert.groups import max_abelian_order
 from pgroupcert.products import (
     ProductSubgroupSpec,
-    common_projection,
     identity_matrix,
     isotropy_free_dimension,
-    iterate_product_group,
     olshanskii_search,
-    product_element,
-    product_mul,
     product_subgroup_bound,
 )
 from pgroupcert.symplectic import BudgetExceeded, enumerate_isotropic
+from product_oracle import common_projection, iterate_product_group, product_element, product_mul
 
 
 def test_isotropy_free_dimension():
@@ -138,6 +135,19 @@ def test_k_above_n_is_certified_by_nondegeneracy(monkeypatch):
     assert spec.certified
     assert spec.transcript["attempts"] == [{"attempt": 1, "common_isotropic_found": 0}]
     assert spec.transcript["subspaces_examined_per_attempt"] == 896260
+
+
+def test_k_above_n_is_not_refused_by_the_enumeration_budget(monkeypatch):
+    monkeypatch.setattr(products, "enumerate_isotropic", _refuse_enumeration)
+    spec = olshanskii_search(5, 4, 3, seed=0, budget=1)
+    assert (spec.k, spec.n) == (7, 5)
+    assert spec.certified
+    assert spec.transcript["subspaces_examined_per_attempt"] == 18_326_727_760
+
+
+def test_k_at_most_n_is_still_refused_over_budget():
+    with pytest.raises(BudgetExceeded, match="75913222"):
+        olshanskii_search(4, 6, 3)
 
 
 def test_k_at_most_n_is_certified_by_enumeration(monkeypatch):

@@ -13,6 +13,7 @@ from pgroupcert.solver import (
     PreconditionError,
     RootFamily,
     SearchExhausted,
+    _primitive_root_mod_prime_power,
     certify,
     compute_M,
     elementary_symmetric,
@@ -44,6 +45,33 @@ def test_find_roots_n2_p7_pinned_and_oracle():
         a for a in range(1, 49) if a % 7 and pow(a, 3, 49) == 1
     )
     assert family.residues == oracle
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_primitive_root_is_the_least_generator(p, n):
+    q = p**n
+    phi = (p - 1) * p ** (n - 1)
+
+    def order(g):
+        k, x = 1, g % q
+        while x != 1:
+            x = x * g % q
+            k += 1
+        return k
+
+    least = next(g for g in range(2, q) if g % p and order(g) == phi)
+    assert _primitive_root_mod_prime_power(p, n) == least
+
+
+@pytest.mark.parametrize("n,expected", [(1, 5), (2, 10), (3, 10)])
+def test_primitive_root_when_the_least_root_mod_p_fails_mod_p_squared(n, expected):
+    # 5 is the least primitive root mod 40487 (the only such prime below
+    # 60,000), but 5^(p-1) = 1 mod p^2, so it generates no unit group mod
+    # p^n for n >= 2: the factor p of phi is what rules it out.
+    p = 40487
+    assert pow(5, p - 1, p * p) == 1
+    assert _primitive_root_mod_prime_power(p, n) == expected
 
 
 def test_find_roots_preconditions():

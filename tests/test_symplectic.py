@@ -13,12 +13,12 @@ from pgroupcert.symplectic import (
     Subspace,
     SymplecticForm,
     enumerate_isotropic,
-    enumerate_subspaces,
     gaussian_binomial,
     is_invertible,
     random_invertible,
     rref_mod_p,
 )
+from subspace_oracle import enumerate_subspaces
 
 
 def test_standard_form_evaluation():
@@ -106,6 +106,12 @@ def test_lagrangian_count():
 def test_enumerate_isotropic_k_above_dim_is_empty():
     form = SymplecticForm.standard(1, 3)
     assert enumerate_isotropic([form], 4) == []
+
+
+def test_standard_form_is_built_once_per_n_and_p():
+    assert SymplecticForm.standard(4, 3) is SymplecticForm.standard(4, 3)
+    assert SymplecticForm.standard(4, 3) is not SymplecticForm.standard(4, 5)
+    assert SymplecticForm.standard(4, 3).matrix != SymplecticForm.standard(3, 3).matrix
 
 
 def test_budget_guard():

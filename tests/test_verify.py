@@ -303,6 +303,16 @@ def test_olshanskii_params_are_rejected_before_any_arithmetic(monkeypatch, edit)
     assert [result.name for result in report.failures()] == ["params"]
 
 
+@pytest.mark.parametrize("n,p", [(3, 1000000009), (4, 1000000021), (6, 1000000009)])
+def test_construction_at_a_large_prime_is_quick(n, p):
+    # Finding a generator of (Z/p^n)* must factor only p - 1: trial division
+    # of phi = (p - 1) p^(n-1) would run up to p.
+    start = time.perf_counter()
+    report = verify_document(reserialize(construction_doc(n, 1, p)))
+    assert time.perf_counter() - start < 2.0
+    assert report.ok, report.failures()
+
+
 def test_brute_group_report_runs_under_the_verifiers_budget():
     doc = group_doc(1, 3, mode="brute")
     doc["certificate"]["p"] = 101
