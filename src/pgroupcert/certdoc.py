@@ -7,20 +7,24 @@ are sorted everywhere, so serialized documents are diffable, and the
 sha256 digest of the canonical serialization binds the document content:
 the verifier rejects any mutation, including ones that would happen to
 form a differently-valid witness.
+
+This layer imports only the standard library: the producer's types are
+named for type checking alone, so the verifier and each CLI process load
+it without the mathematics.  Decoders that build library objects, such as
+the truncated series of a Chern product, live with the verifier.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from datetime import datetime, timezone
+import time
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
-from .series import OmegaSeries
-
 if TYPE_CHECKING:
     from .products import ProductBound, ProductSubgroupSpec
+    from .series import OmegaSeries
     from .solver import ConstructionCertificate, LambdaRow
 
 SCHEMA_VERSION = "1"
@@ -92,12 +96,6 @@ def encode_series(series: OmegaSeries) -> dict[str, Any]:
     }
 
 
-def decode_series(value: Any) -> OmegaSeries:
-    if not isinstance(value, dict) or "n" not in value or "coeffs" not in value:
-        raise ParseError("expected a truncated series object")
-    return OmegaSeries(decode_int(value["n"]), [decode_fraction(c) for c in value["coeffs"]])
-
-
 # -- canonical form and digest ----------------------------------------------
 
 
@@ -126,7 +124,7 @@ def build_document(
     }
     doc = dict(body)
     doc["digest"] = compute_digest(body)
-    doc["generated_at"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    doc["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
     return doc
 
 

@@ -1,74 +1,68 @@
 """Command-line front end: produce certificates, re-verify them, tabulate bounds.
 
-Exit codes are a stable contract: 0 on success, 1 when a verification or
-certification check fails, 2 on usage or parse errors.
+Built on the standard library's argparse, so a fresh process pays for the
+interpreter and the library only.  Exit codes are a stable contract: 0 on
+success, 1 when a verification or certification check fails, 2 on usage or
+parse errors, which include a missing or unreadable ``verify`` path and the
+library's PreconditionError, ParseError and BudgetExceeded.
+
+``main(args)`` returns the exit status, for ``sys.exit(main())``;
+``main.main(args=..., prog_name=...)`` raises SystemExit with it instead.
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 from fractions import Fraction
-
-import click
+from typing import NoReturn
 
 from . import certdoc, solver
-from .groups import MAX_GROUP_N, brute_force_lambda, group_order, max_abelian_exponent
-from .products import olshanskii_search, product_subgroup_bound
+from .groups import DEFAULT_BRUTE_BUDGET, MAX_GROUP_N, brute_force_lambda, group_order, max_abelian_exponent
+from .products import DEFAULT_SEARCH_ATTEMPTS, olshanskii_search, product_subgroup_bound
 from .symplectic import DEFAULT_SUBSPACE_BUDGET, BudgetExceeded
 from .verify import verify_document
 
 
+class UsageError(Exception):
+    """Bad input for a command; reported under the command's usage line with exit status 2."""
+
+
 def _write_output(text: str, out: str) -> None:
     if out == "-":
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
 
 
-@click.group()
-def main() -> None:
-    """Exact certificates for the Heisenberg-group bundle constructions."""
-
-
-@main.command()
-@click.option("--n", type=int, required=True, help="Torus half-dimension.")
-@click.option("--r", type=int, default=1, show_default=True, help="Number of group factors.")
-@click.option("--p", type=int, default=None, help="Odd prime = 1 mod (n+1), > M(n); auto-searched when omitted.")
-@click.option("--lifts", type=click.Choice(["nonneg", "symmetric"]), default="nonneg", show_default=True)
-@click.option("--out", default="-", show_default=True, help="Output path ('-' for stdout).")
-def certify(n: int, r: int, p: int | None, lifts: str, out: str) -> None:
+def certify(args: argparse.Namespace) -> int:
     """Run the full Chern-cancellation pipeline and emit a certificate."""
+    n, r, p, lifts = args.n, args.r, args.p, args.lifts
     try:
         if p is None:
             p = solver.find_prime(n)
         cert = solver.certify(n, r, p, lift=lifts)
     except (solver.PreconditionError, solver.SearchExhausted) as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc)) from exc
     except solver.CertificationError as exc:
-        click.echo(f"certification failed: {exc}", err=True)
-        sys.exit(1)
+        print(f"certification failed: {exc}", file=sys.stderr)
+        return 1
     doc = certdoc.build_document(
         kind="construction",
         command="certify",
         params={"n": n, "r": r, "p": p, "lifts": lifts},
         certificate=certdoc.construction_payload(cert),
     )
-    _write_output(certdoc.serialize_document(doc), out)
-    if not cert.overall_pass:
-        sys.exit(1)
+    _write_output(certdoc.serialize_document(doc), args.out)
+    return 0 if cert.overall_pass else 1
 
 
-@main.command()
-@click.option("--n", type=int, required=True)
-@click.option("--p", type=int, required=True, help="Odd prime.")
-@click.option("--mode", type=click.Choice(["structural", "brute"]), default="structural", show_default=True)
-@click.option("--budget", type=int, default=10_000, show_default=True, help="Max group order for brute mode.")
-@click.option("--out", default="-", show_default=True)
-def group(n: int, p: int, mode: str, budget: int, out: str) -> None:
+def group(args: argparse.Namespace) -> int:
     """Report the order, maximal abelian order, and abelian fraction of one Heisenberg group."""
+    n, p, mode, budget = args.n, args.p, args.mode, args.budget
     if not 1 <= n <= MAX_GROUP_N or p < 3 or p % 2 == 0:
-        raise click.UsageError(f"need 1 <= n <= {MAX_GROUP_N} and an odd prime p")
+        raise UsageError(f"need 1 <= n <= {MAX_GROUP_N} and an odd prime p")
     order = group_order(n, p)
     try:
         structural = max_abelian_exponent(n, p)
@@ -86,7 +80,7 @@ def group(n: int, p: int, mode: str, budget: int, out: str) -> None:
             lam = Fraction(exponent, 2 * n + 1)
             modes_agree = None
     except BudgetExceeded as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc)) from exc
     doc = certdoc.build_document(
         kind="group",
         command="group",
@@ -95,27 +89,19 @@ def group(n: int, p: int, mode: str, budget: int, out: str) -> None:
             n, p, mode, order, max_order, exponent, lam, budget, modes_agree
         ),
     )
-    _write_output(certdoc.serialize_document(doc), out)
-    if modes_agree is False:
-        sys.exit(1)
+    _write_output(certdoc.serialize_document(doc), args.out)
+    return 1 if modes_agree is False else 0
 
 
-@main.command()
-@click.option("--n", type=int, required=True)
-@click.option("--r", type=int, required=True, help="Number of forms; at least 2.")
-@click.option("--p", type=int, required=True, help="Odd prime.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--budget", type=int, default=DEFAULT_SUBSPACE_BUDGET, show_default=True)
-@click.option("--attempts", type=int, default=20, show_default=True)
-@click.option("--out", default="-", show_default=True)
-def olshanskii(n: int, r: int, p: int, seed: int, budget: int, attempts: int, out: str) -> None:
+def olshanskii(args: argparse.Namespace) -> int:
     """Search for a form family with no common isotropic subspace of dimension floor(4n/r)+2."""
+    n, r, p, seed, budget, attempts = args.n, args.r, args.p, args.seed, args.budget, args.attempts
     if r < 2:
-        raise click.UsageError("r must be at least 2")
+        raise UsageError("r must be at least 2")
     try:
         spec = olshanskii_search(n, r, p, seed=seed, budget=budget, attempts=attempts)
     except (ValueError, BudgetExceeded) as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc)) from exc
     bound = product_subgroup_bound(spec, exact_budget=budget) if spec.certified else None
     doc = certdoc.build_document(
         kind="olshanskii",
@@ -124,82 +110,153 @@ def olshanskii(n: int, r: int, p: int, seed: int, budget: int, attempts: int, ou
         certificate=certdoc.olshanskii_payload(spec, bound),
         seed=seed,
     )
-    _write_output(certdoc.serialize_document(doc), out)
-    if not spec.certified:
-        sys.exit(1)
+    _write_output(certdoc.serialize_document(doc), args.out)
+    return 0 if spec.certified else 1
 
 
-@main.command("lambda-table")
-@click.option("--max-n", type=int, required=True)
-@click.option("--max-r", type=int, required=True)
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True)
-@click.option("--epsilon", type=str, default=None, help="Exact rational like 2/3; adds the least (n, r) with bound below it.")
-@click.option("--out", default="-", show_default=True)
-def lambda_table_cmd(max_n: int, max_r: int, fmt: str, epsilon: str | None, out: str) -> None:
+def lambda_table(args: argparse.Namespace) -> int:
     """Tabulate the abelian-fraction bounds (n+1)/(2n+1) and (r+k)/(2n+r)."""
+    max_n, max_r, epsilon = args.max_n, args.max_r, args.epsilon
     try:
         rows = solver.lambda_table(max_n, max_r)
         eps = Fraction(epsilon) if epsilon is not None else None
     except (solver.PreconditionError, ValueError, ZeroDivisionError) as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc)) from exc
     witness = solver.epsilon_witness(rows, eps) if eps is not None else None
-    if fmt == "csv":
+    if args.fmt == "csv":
         lines = ["n,r,k,abelian_exponent,order_exponent,bound"]
         for row in rows:
             lines.append(
                 f"{row.n},{row.r},{'' if row.k is None else row.k},"
                 f"{row.abelian_exponent},{row.order_exponent},{row.bound}"
             )
-        _write_output("\n".join(lines) + "\n", out)
-        return
+        _write_output("\n".join(lines) + "\n", args.out)
+        return 0
     doc = certdoc.build_document(
         kind="lambda_table",
         command="lambda-table",
         params={"max_n": max_n, "max_r": max_r, "epsilon": epsilon},
         certificate=certdoc.lambda_table_payload(max_n, max_r, rows, eps, witness),
     )
-    _write_output(certdoc.serialize_document(doc), out)
+    _write_output(certdoc.serialize_document(doc), args.out)
+    return 0
 
 
-@main.command("find-prime")
-@click.option("--n", type=int, required=True)
-@click.option("--h", type=int, default=1, show_default=True, help="The prime must not divide h.")
-@click.option("--min", "min_p", type=int, default=1, show_default=True)
-@click.option("--ceiling", type=int, default=solver.DEFAULT_PRIME_CEILING, show_default=True)
-@click.option("--out", default="-", show_default=True)
-def find_prime_cmd(n: int, h: int, min_p: int, ceiling: int, out: str) -> None:
+def find_prime(args: argparse.Namespace) -> int:
     """Least prime p >= max(min, M(n)+1, 3) with p = 1 mod (n+1) not dividing h."""
+    n, h, min_p, ceiling = args.n, args.h, args.min_p, args.ceiling
     try:
         p = solver.find_prime(n, h=h, min_p=min_p, ceiling=ceiling)
     except (solver.PreconditionError, solver.SearchExhausted) as exc:
-        raise click.UsageError(str(exc))
+        raise UsageError(str(exc)) from exc
     doc = certdoc.build_document(
         kind="prime",
         command="find-prime",
         params={"n": n, "h": h, "min": min_p, "ceiling": ceiling},
         certificate=certdoc.prime_payload(n, h, min_p, ceiling, p, solver.compute_M(n)),
     )
-    _write_output(certdoc.serialize_document(doc), out)
+    _write_output(certdoc.serialize_document(doc), args.out)
+    return 0
 
 
-@main.command()
-@click.argument("path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--budget", type=int, default=DEFAULT_SUBSPACE_BUDGET, show_default=True)
-def verify(path: str, budget: int) -> None:
+def verify(args: argparse.Namespace) -> int:
     """Re-check every claim of a stored certificate from its raw data."""
+    path = args.path
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = certdoc.parse_document(handle.read())
-        report = verify_document(doc, budget=budget)
+        report = verify_document(doc, budget=args.budget)
     except (OSError, certdoc.ParseError) as exc:
-        raise click.UsageError(f"cannot parse {path}: {exc}")
+        raise UsageError(f"cannot parse {path}: {exc}") from exc
     for result in report.results:
         status = "ok  " if result.passed else "FAIL"
         detail = f"  ({result.detail})" if result.detail else ""
-        click.echo(f"{status} {report.kind}:{result.name}{detail}")
-    if not report.ok:
-        sys.exit(1)
+        print(f"{status} {report.kind}:{result.name}{detail}")
+    return 0 if report.ok else 1
+
+
+def _parser(prog: str) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog=prog,
+        description="Exact certificates for the Heisenberg-group bundle constructions.",
+        allow_abbrev=False,
+    )
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(name: str, handler) -> argparse.ArgumentParser:
+        doc = handler.__doc__
+        sub = commands.add_parser(name, help=doc, description=doc, allow_abbrev=False)
+        sub.set_defaults(handler=handler, parser=sub)
+        return sub
+
+    def out_option(sub: argparse.ArgumentParser) -> None:
+        sub.add_argument("--out", default="-", help="Output path, '-' for stdout (default: %(default)s).")
+
+    sub = command("certify", certify)
+    sub.add_argument("--n", type=int, required=True, help="Torus half-dimension.")
+    sub.add_argument("--r", type=int, default=1, help="Number of group factors (default: %(default)s).")
+    sub.add_argument("--p", type=int, help="Odd prime = 1 mod (n+1), > M(n); auto-searched when omitted.")
+    sub.add_argument("--lifts", choices=["nonneg", "symmetric"], default="nonneg", help="(default: %(default)s)")
+    out_option(sub)
+
+    sub = command("group", group)
+    sub.add_argument("--n", type=int, required=True)
+    sub.add_argument("--p", type=int, required=True, help="Odd prime.")
+    sub.add_argument("--mode", choices=["structural", "brute"], default="structural", help="(default: %(default)s)")
+    sub.add_argument(
+        "--budget", type=int, default=DEFAULT_BRUTE_BUDGET, help="Max group order for brute mode (default: %(default)s)."
+    )
+    out_option(sub)
+
+    sub = command("olshanskii", olshanskii)
+    sub.add_argument("--n", type=int, required=True)
+    sub.add_argument("--r", type=int, required=True, help="Number of forms; at least 2.")
+    sub.add_argument("--p", type=int, required=True, help="Odd prime.")
+    sub.add_argument("--seed", type=int, default=0, help="(default: %(default)s)")
+    sub.add_argument("--budget", type=int, default=DEFAULT_SUBSPACE_BUDGET, help="(default: %(default)s)")
+    sub.add_argument("--attempts", type=int, default=DEFAULT_SEARCH_ATTEMPTS, help="(default: %(default)s)")
+    out_option(sub)
+
+    sub = command("lambda-table", lambda_table)
+    sub.add_argument("--max-n", type=int, required=True)
+    sub.add_argument("--max-r", type=int, required=True)
+    sub.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json", help="(default: %(default)s)")
+    sub.add_argument("--epsilon", help="Exact rational like 2/3; adds the least (n, r) with bound below it.")
+    out_option(sub)
+
+    sub = command("find-prime", find_prime)
+    sub.add_argument("--n", type=int, required=True)
+    sub.add_argument("--h", type=int, default=1, help="The prime must not divide h (default: %(default)s).")
+    sub.add_argument("--min", dest="min_p", type=int, default=1, help="(default: %(default)s)")
+    sub.add_argument("--ceiling", type=int, default=solver.DEFAULT_PRIME_CEILING, help="(default: %(default)s)")
+    out_option(sub)
+
+    sub = command("verify", verify)
+    sub.add_argument("path", metavar="PATH")
+    sub.add_argument("--budget", type=int, default=DEFAULT_SUBSPACE_BUDGET, help="(default: %(default)s)")
+    return parser
+
+
+def main(args: list[str] | None = None, prog_name: str = "pgroupcert") -> int:
+    """Run one command line (``sys.argv[1:]`` when ``args`` is None); returns its exit status."""
+    try:
+        namespace = _parser(prog_name).parse_args(args)
+        try:
+            return namespace.handler(namespace)
+        except UsageError as exc:
+            namespace.parser.error(str(exc))
+    except SystemExit as exc:  # argparse reports --help and usage errors by exiting
+        return exc.code if isinstance(exc.code, int) else 2
+
+
+def _main_exiting(args: list[str] | None = None, prog_name: str = "pgroupcert") -> NoReturn:
+    sys.exit(main(args, prog_name))
+
+
+# The click-style entry ``main.main(args=..., prog_name=...)``, which
+# perfbench/child.py calls and which raises SystemExit with the status.
+main.main = _main_exiting  # type: ignore[attr-defined]
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

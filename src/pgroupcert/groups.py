@@ -36,6 +36,11 @@ from .symplectic import (
 
 DEFAULT_BRUTE_BUDGET = 10_000
 
+#: The brute oracle's ceiling on group-law calls.  max_abelian_order fills an
+#: m x m product table, so m^2 is its work: this admits (n, p) = (1, 3), (1, 5),
+#: (1, 7) and (2, 3), and refuses (1, 11) and larger before any product is taken.
+BRUTE_WORK_BUDGET = 200_000
+
 #: Largest n for which group reports are produced and re-checked; the
 #: structural bound costs O(n^3) arithmetic on n-dependent matrices.
 MAX_GROUP_N = 64
@@ -213,9 +218,15 @@ def brute_force_lambda(
     """Exact maximal abelian subgroup order and log|A|/log|Gamma| by exhaustion.
 
     Independent of the symplectic correspondence: only group
-    multiplication is used, applied to coordinate tuples.
+    multiplication is used, applied to coordinate tuples.  Refused with
+    BudgetExceeded when the group has more than ``budget`` elements or its
+    m^2 product table more than BRUTE_WORK_BUDGET entries.
     """
-    best = max_abelian_order(_all_coords(n, p, budget), partial(group_law, p))
+    coords = _all_coords(n, p, budget)
+    calls = len(coords) ** 2
+    if calls > BRUTE_WORK_BUDGET:
+        raise BudgetExceeded(calls, BRUTE_WORK_BUDGET, what="group-law calls")
+    best = max_abelian_order(coords, partial(group_law, p))
     exponent = 0
     order = best
     while order % p == 0:

@@ -15,11 +15,11 @@ primitives are shared.
 A content digest binds each document.  Checks that would be expensive to
 re-run are skipped (and reported as not run) once the digest has already
 failed, since the document is rejected either way.  The digest is not a
-signature, though, so the size parameters of construction, group,
-prime and olshanskii documents are bounded before any arithmetic depends
-on them, a stored power of p is compared by bit length before the power is
-computed, and the brute-force group oracle runs under the verifier's own
-budget, never the one a report claims.
+signature, though, so the size parameters of every document kind are
+bounded before any arithmetic depends on them, a stored power of p is
+compared by bit length before the power is computed, and the brute-force
+group oracle runs under the verifier's own budget, never the one a report
+claims, and is refused when its m^2 product table would be too large.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .certdoc import (
     decode_int,
     decode_int_list,
     decode_matrix,
-    decode_series,
     document_digestable,
 )
 from .exterior import MAX_SYMMETRIZATION_N, SymmetrizationError, symmetrization_coefficients
@@ -70,6 +69,12 @@ class VerificationReport:
 
     def failures(self) -> list[CheckResult]:
         return [r for r in self.results if not r.passed]
+
+
+def decode_series(value: Any) -> OmegaSeries:
+    if not isinstance(value, dict) or "n" not in value or "coeffs" not in value:
+        raise ParseError("expected a truncated series object")
+    return OmegaSeries(decode_int(value["n"]), [decode_fraction(c) for c in value["coeffs"]])
 
 
 # -- local re-derivations (kept independent of the solver module) -----------
@@ -518,10 +523,26 @@ def _verify_lambda_table(cert: dict, out: list[CheckResult]) -> None:
     max_n = decode_int(cert["max_n"])
     max_r = decode_int(cert["max_r"])
     rows = cert["rows"]
-    expected_count = max_n * max_r
-    out.append(
-        _check("row_count", len(rows) == expected_count, f"expected {expected_count} rows")
+    # The rows must be exactly the (n, r) grid, so every later division by r
+    # and every size below is bounded by the rows the document really holds.
+    pairs = {(decode_int(row["n"]), decode_int(row["r"])) for row in rows}
+    params_ok = (
+        max_n >= 1
+        and max_r >= 1
+        and len(rows) == max_n * max_r
+        and len(pairs) == len(rows)
+        and all(1 <= n <= max_n and 1 <= r <= max_r for n, r in pairs)
     )
+    out.append(
+        _check(
+            "params",
+            params_ok,
+            f"bad parameters max_n={max_n}, max_r={max_r} (need both >= 1 and the "
+            f"{len(rows)} rows to be exactly the (n, r) grid 1..max_n x 1..max_r)",
+        )
+    )
+    if not params_ok:
+        return
     all_ok = True
     detail = ""
     for row in rows:

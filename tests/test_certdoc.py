@@ -1,6 +1,7 @@
 """Exact JSON encoding, canonical serialization, digests, round-trips."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from pgroupcert.products import olshanskii_search, product_subgroup_bound
 from pgroupcert.series import OmegaSeries
 from pgroupcert.solver import certify
 from pgroupcert.symplectic import DEFAULT_SUBSPACE_BUDGET
+from pgroupcert.verify import decode_series
 
 
 def test_int_encoding_small_and_big():
@@ -39,7 +41,7 @@ def test_fraction_round_trip():
 
 def test_series_round_trip():
     s = OmegaSeries(3, (1, Fraction(-2, 3), 0, 10**20))
-    assert certdoc.decode_series(certdoc.encode_series(s)) == s
+    assert decode_series(certdoc.encode_series(s)) == s
 
 
 def test_no_floats_anywhere_in_documents():
@@ -112,6 +114,11 @@ def test_sorted_keys_in_serialization():
         if k in ("certificate", "command", "digest", "generated_at", "kind", "schema_version", "seed")
     ]
     assert top_level == sorted(top_level)
+
+
+def test_generated_at_is_a_utc_timestamp_in_seconds():
+    doc = certdoc.build_document("prime", "find-prime", {"n": 1}, {"n": 1})
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", doc["generated_at"])
 
 
 # Full digests of the construction documents, pinned so that changes to how

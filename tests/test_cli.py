@@ -1,13 +1,15 @@
 """CLI subcommands, exit codes, file output, verify round-trips."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 
 from pgroupcert import certdoc
 from pgroupcert.cli import main
@@ -15,9 +17,22 @@ from pgroupcert.exterior import MAX_SYMMETRIZATION_N
 from pgroupcert.groups import MAX_GROUP_N
 
 
+class _Runner:
+    """Runs one command line in this process; stdout and stderr are captured together.
+
+    An exception raised by the command propagates, so a crash fails the test.
+    """
+
+    def invoke(self, command, args):
+        captured = io.StringIO()
+        with contextlib.redirect_stdout(captured), contextlib.redirect_stderr(captured):
+            exit_code = command(args)
+        return SimpleNamespace(exit_code=exit_code, output=captured.getvalue())
+
+
 @pytest.fixture()
 def runner():
-    return CliRunner()
+    return _Runner()
 
 
 def test_certify_auto_prime(runner):
@@ -206,6 +221,41 @@ def test_cli_import_leaves_numpy_out():
     code = "import sys, pgroupcert.cli; sys.exit('numpy' in sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr or "numpy was imported"
+
+
+def test_cli_import_leaves_click_out():
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    code = "import sys, pgroupcert.cli; sys.exit('click' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr or "click was imported"
+
+
+def test_click_style_entry_raises_system_exit_with_the_status(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    assert main(["certify", "--n", "1", "--r", "1", "--p", "3", "--out", str(good)]) == 0
+    bad = tmp_path / "bad.json"
+    doc = json.loads(good.read_text())
+    doc["certificate"]["delta"][0] += 1
+    bad.write_text(json.dumps(doc))
+    for path, status in [(good, 0), (bad, 1), (tmp_path / "missing.json", 2)]:
+        with pytest.raises(SystemExit) as exc:
+            main.main(args=["verify", str(path)], prog_name="pgroupcert")
+        assert exc.value.code == status
+    assert "usage: pgroupcert verify" in capsys.readouterr().err
+
+
+def test_verify_reports_a_lambda_table_with_a_zero_r_row(runner, tmp_path):
+    out = tmp_path / "table.json"
+    assert runner.invoke(main, ["lambda-table", "--max-n", "2", "--max-r", "2", "--out", str(out)]).exit_code == 0
+    doc = json.loads(out.read_text())
+    doc["certificate"]["rows"][1]["r"] = 0
+    doc["digest"] = certdoc.compute_digest(certdoc.document_digestable(doc))
+    out.write_text(json.dumps(doc))
+    # It used to raise ZeroDivisionError out of the verifier; the runner lets it propagate.
+    result = runner.invoke(main, ["verify", str(out)])
+    assert result.exit_code == 1
+    assert "FAIL lambda_table:params" in result.output
 
 
 def test_olshanskii_at_a_large_prime(runner, tmp_path):

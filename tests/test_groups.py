@@ -129,6 +129,12 @@ def test_brute_force_budget():
         brute_force_lambda(3, 101)
 
 
+def test_brute_force_work_is_bounded_by_the_squared_order():
+    # 1331 elements fit the element budget; their 1331^2 products do not.
+    with pytest.raises(BudgetExceeded, match="1771561 group-law calls"):
+        brute_force_lambda(1, 11)
+
+
 @pytest.mark.parametrize("n,p", [(1, 3), (2, 3), (2, 7), (3, 3)])
 def test_structural_exponent(n, p):
     assert max_abelian_exponent(n, p) == n + 1

@@ -65,7 +65,7 @@ def _loaded_after(statement: str) -> set[str]:
 
 def test_certdoc_loads_only_what_it_needs():
     loaded = _loaded_after("import pgroupcert.certdoc")
-    assert loaded == {"pgroupcert", "pgroupcert.certdoc", "pgroupcert.series", "pgroupcert.exterior"}
+    assert loaded == {"pgroupcert", "pgroupcert.certdoc"}
 
 
 def test_verify_leaves_the_producer_out():

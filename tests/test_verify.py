@@ -9,10 +9,10 @@ import pytest
 
 from pgroupcert import certdoc, products, verify
 from pgroupcert.exterior import MAX_SYMMETRIZATION_N
-from pgroupcert.groups import MAX_GROUP_N, brute_force_lambda, group_order, max_abelian_exponent
+from pgroupcert.groups import BRUTE_WORK_BUDGET, MAX_GROUP_N, brute_force_lambda, group_order, max_abelian_exponent
 from pgroupcert.products import ProductSubgroupSpec, identity_matrix, olshanskii_search, product_subgroup_bound
 from pgroupcert.solver import certify, compute_M, epsilon_witness, find_prime, lambda_table
-from pgroupcert.symplectic import SymplecticForm, enumerate_isotropic, random_invertible
+from pgroupcert.symplectic import BudgetExceeded, SymplecticForm, enumerate_isotropic, random_invertible
 from pgroupcert.verify import verify_document
 
 
@@ -80,16 +80,19 @@ def test_olshanskii_document_verifies():
     assert report.ok, report.failures()
 
 
-def test_lambda_table_document_verifies():
-    rows = lambda_table(3, 2)
+def lambda_table_doc(max_n, max_r):
+    rows = lambda_table(max_n, max_r)
     eps = Fraction(2, 3)
-    doc = certdoc.build_document(
+    return certdoc.build_document(
         "lambda_table",
         "lambda-table",
-        {"max_n": 3, "max_r": 2},
-        certdoc.lambda_table_payload(3, 2, rows, eps, epsilon_witness(rows, eps)),
+        {"max_n": max_n, "max_r": max_r},
+        certdoc.lambda_table_payload(max_n, max_r, rows, eps, epsilon_witness(rows, eps)),
     )
-    report = verify_document(reserialize(doc))
+
+
+def test_lambda_table_document_verifies():
+    report = verify_document(reserialize(lambda_table_doc(3, 2)))
     assert report.ok, report.failures()
 
 
@@ -430,3 +433,57 @@ def test_construction_p_is_rejected_by_params(p):
     report = verify_document(fix_digest(doc))
     assert report.results[0].passed
     assert [result.name for result in report.failures()] == ["params"]
+
+
+def _set_row_r(doc, r):
+    doc["certificate"]["rows"][1]["r"] = r
+
+
+def _set_max_n(doc, max_n):
+    doc["certificate"]["max_n"] = max_n
+
+
+def _duplicate_row(doc):
+    rows = doc["certificate"]["rows"]
+    rows[1] = dict(rows[0])
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: _set_row_r(doc, 0),  # used to raise ZeroDivisionError
+        lambda doc: _set_row_r(doc, -1),
+        lambda doc: _set_max_n(doc, 10**9),
+        lambda doc: _set_max_n(doc, 0),
+        _duplicate_row,
+    ],
+)
+def test_lambda_table_params_are_checked_before_any_arithmetic(edit):
+    doc = json.loads(json.dumps(lambda_table_doc(3, 2)))
+    edit(doc)
+    start = time.perf_counter()
+    report = verify_document(fix_digest(doc))
+    assert time.perf_counter() - start < 1.0
+    assert report.results[0].passed
+    assert [result.name for result in report.failures()] == ["params"]
+
+
+@pytest.mark.parametrize("n,p", [(1, 3), (1, 5), (1, 7), (2, 3)])
+def test_brute_group_reports_within_the_work_budget_verify(n, p):
+    report = verify_document(reserialize(group_doc(n, p, mode="brute")))
+    assert report.ok, report.failures()
+
+
+def test_brute_group_report_is_bounded_by_its_squared_order():
+    # 13^3 = 2197 elements fit the element budget, but the oracle's product
+    # table would take 2197^2 group-law calls (about 13 s).
+    doc = group_doc(1, 3, mode="brute")
+    doc["certificate"].update(p=13, order=13**3, max_abelian_order=13**2)
+    start = time.perf_counter()
+    report = verify_document(fix_digest(doc))
+    assert time.perf_counter() - start < 1.0
+    failed = {result.name: result.detail for result in report.failures()}
+    assert list(failed) == ["bound_recomputation"]
+    assert failed["bound_recomputation"] == str(
+        BudgetExceeded(13**6, BRUTE_WORK_BUDGET, what="group-law calls")
+    )
