@@ -38,6 +38,7 @@ _MODULE_EXPORTS = {
         "max_abelian_order",
     ),
     "products": (
+        "LambdaRow",
         "ProductBound",
         "ProductSubgroupSpec",
         "isotropy_free_dimension",
@@ -60,7 +61,6 @@ _MODULE_EXPORTS = {
         "ConstructionCertificate",
         "DeltaSolution",
         "DivisibilityError",
-        "LambdaRow",
         "PreconditionError",
         "RootFamily",
         "SearchExhausted",

@@ -23,13 +23,17 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
-    from .products import ProductBound, ProductSubgroupSpec
+    from .products import LambdaRow, ProductBound, ProductSubgroupSpec
     from .series import OmegaSeries
-    from .solver import ConstructionCertificate, LambdaRow
+    from .solver import ConstructionCertificate
 
 SCHEMA_VERSION = "1"
 
 _SAFE_INT_BOUND = 2**53
+
+#: Most decimal digits a document integer may have: CPython's default limit
+#: on int/str conversion, which writing and reading a document both go through.
+MAX_INT_DIGITS = 4300
 
 
 class ParseError(ValueError):

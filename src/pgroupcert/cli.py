@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from typing import NoReturn
 
-from . import certdoc, solver
+from . import certdoc, primes, solver
 from .groups import DEFAULT_BRUTE_BUDGET, MAX_GROUP_N, brute_force_lambda, group_order, max_abelian_exponent
 from .products import DEFAULT_SEARCH_ATTEMPTS, olshanskii_search, product_subgroup_bound
 from .symplectic import DEFAULT_SUBSPACE_BUDGET, BudgetExceeded
@@ -61,18 +61,14 @@ def certify(args: argparse.Namespace) -> int:
 def group(args: argparse.Namespace) -> int:
     """Report the order, maximal abelian order, and abelian fraction of one Heisenberg group."""
     n, p, mode, budget = args.n, args.p, args.mode, args.budget
-    if not 1 <= n <= MAX_GROUP_N or p < 3 or p % 2 == 0:
+    if not 1 <= n <= MAX_GROUP_N or not primes.is_odd_prime(p):
         raise UsageError(f"need 1 <= n <= {MAX_GROUP_N} and an odd prime p")
     order = group_order(n, p)
     try:
         structural = max_abelian_exponent(n, p)
         if mode == "brute":
             max_order, lam = brute_force_lambda(n, p, budget=budget)
-            exponent = 0
-            rest = max_order
-            while rest % p == 0:
-                rest //= p
-                exponent += 1
+            exponent = int(lam * (2 * n + 1))
             modes_agree = exponent == structural
         else:
             exponent = structural

@@ -38,6 +38,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def is_odd_prime(n: int) -> bool:
+    """n is an odd prime; an input beyond is_prime's deterministic range counts as not prime."""
+    try:
+        return n % 2 == 1 and is_prime(n)
+    except ValueError:
+        return False
+
+
 def prime_factors(n: int) -> list[int]:
     """Distinct prime factors by trial division (inputs here are desk-scale)."""
     if n < 2:

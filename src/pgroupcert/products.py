@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .primes import is_prime
 from .symplectic import (
@@ -45,6 +46,53 @@ def isotropy_free_dimension(n: int, r: int) -> int:
     k = 4 * n // r + 2
     assert 4 * n < r * (k - 1)
     return k
+
+
+@dataclass(frozen=True)
+class LambdaRow:
+    """One (n, r) entry of the abelian-fraction bound table.
+
+    ``bound`` = abelian_exponent / order_exponent bounds
+    log|A|/log|Gamma| over abelian subgroups A of a group of order
+    p^order_exponent.  lambda_row is the one place these numbers are
+    derived.  ``exponent_form_exact`` records whether r | 4n, in which
+    case the standard choice of k makes r + k exactly 2 + r + 4n/r.
+    """
+
+    n: int
+    r: int
+    k: int | None
+    abelian_exponent: int
+    order_exponent: int
+    bound: Fraction
+    exponent_form_exact: bool
+
+
+def lambda_row(n: int, r: int, k: int | None = None) -> LambdaRow:
+    """The abelian-subgroup bound for r glued copies of the group on (n, p).
+
+    The group has order p^(2n+r).  For r = 1 it is the Heisenberg group
+    itself, whose abelian subgroups have at most p^(n+1) elements, and k
+    is None.  For r > 1 the bound assumes a form family with no common
+    isotropic k-space, k = isotropy_free_dimension(n, r) unless given,
+    and abelian subgroups then have at most p^(r + min(k, 2n)) elements.
+    """
+    if r == 1:
+        abelian, k = n + 1, None
+    else:
+        if k is None:
+            k = isotropy_free_dimension(n, r)
+        abelian = r + min(k, 2 * n)
+    order = 2 * n + r
+    return LambdaRow(
+        n=n,
+        r=r,
+        k=k,
+        abelian_exponent=abelian,
+        order_exponent=order,
+        bound=Fraction(abelian, order),
+        exponent_form_exact=(4 * n) % r == 0,
+    )
 
 
 @dataclass
@@ -87,12 +135,12 @@ class ProductSubgroupSpec:
 
     @property
     def order_exponent(self) -> int:
-        return 2 * self.n + self.r
+        return lambda_row(self.n, self.r, self.k).order_exponent
 
     @property
     def abelian_exponent(self) -> int:
-        """Structural bound exponent: r + min(k, 2n)."""
-        return self.r + min(self.k, 2 * self.n)
+        """Structural bound exponent, from lambda_row at this family's k."""
+        return lambda_row(self.n, self.r, self.k).abelian_exponent
 
 
 def identity_matrix(dim: int) -> Matrix:

@@ -25,10 +25,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
 
-from . import primes
+from . import certdoc, primes
 from .exterior import MAX_SYMMETRIZATION_N, atilde_table, omega_power_table
 from .groups import max_abelian_exponent
-from .products import isotropy_free_dimension
+from .products import LambdaRow, lambda_row
 from .series import (
     OmegaSeries,
     chern_G,
@@ -53,6 +53,14 @@ class DivisibilityError(CertificationError):
 
 class SearchExhausted(RuntimeError):
     """The prime search hit its ceiling without a hit."""
+
+
+def _is_prime(p: int) -> bool:
+    """primes.is_prime, refusing an input beyond its deterministic range as a PreconditionError."""
+    try:
+        return primes.is_prime(p)
+    except ValueError as exc:
+        raise PreconditionError(f"cannot decide whether {p} is prime: {exc}") from None
 
 
 # -- roots of unity --------------------------------------------------------
@@ -120,7 +128,7 @@ def find_roots(n: int, p: int, lift: str = "nonneg") -> RootFamily:
         raise PreconditionError("n must be at least 1")
     if p == 2:
         raise PreconditionError("odd primes only")
-    if not primes.is_prime(p):
+    if not _is_prime(p):
         raise PreconditionError(f"{p} is not prime")
     if p % (n + 1) != 1:
         raise PreconditionError(f"need p = 1 mod n+1, got p={p}, n+1={n + 1}")
@@ -366,30 +374,42 @@ def _omega_power_notes(n: int) -> list[str]:
     return notes
 
 
-def certify(
-    n: int,
-    r: int,
-    p: int,
-    lift: str = "nonneg",
-    isotropic_budget: int = 10**7,
-) -> ConstructionCertificate:
+def _fits_document(p: int, e: int) -> bool:
+    """p**e (p >= 2) has at most certdoc.MAX_INT_DIGITS digits.
+
+    p**e has at least e * (bit_length(p) - 1) bits, so an exponent too large
+    for the limit is refused before the power is taken.
+    """
+    limit = 10**certdoc.MAX_INT_DIGITS
+    if e * (p.bit_length() - 1) >= limit.bit_length():
+        return False
+    return p**e < limit
+
+
+def certify(n: int, r: int, p: int, lift: str = "nonneg") -> ConstructionCertificate:
     """Run the full pipeline and assemble a certificate; raises on any failure.
 
     Preconditions (PreconditionError): n, r >= 1; p an odd prime with
-    p = 1 mod (n+1) and p > M(n).  Internal identities (CertificationError)
-    abort with the failing equation.
+    p = 1 mod (n+1) and p > M(n); a group order p^(2n+r) that a document
+    can hold.  Internal identities (CertificationError) abort with the
+    failing equation.
     """
     if n < 1 or r < 1:
         raise PreconditionError("n and r must be at least 1")
     M = compute_M(n)
     if p == 2:
         raise PreconditionError("odd primes only")
-    if not primes.is_prime(p):
+    if not _is_prime(p):
         raise PreconditionError(f"{p} is not prime")
     if p % (n + 1) != 1:
         raise PreconditionError(f"need p = 1 mod n+1 = {n + 1}, got p = {p}")
     if p <= M:
         raise PreconditionError(f"need p > M(n) = {M}, got p = {p}")
+    row = lambda_row(n, r)
+    if not _fits_document(p, row.order_exponent):
+        raise PreconditionError(
+            f"the group order p^{row.order_exponent} has more than {certdoc.MAX_INT_DIGITS} digits"
+        )
 
     roots = find_roots(n, p, lift=lift)
     solution = solve_deltas(n, p, M, roots)
@@ -422,13 +442,14 @@ def certify(
         )
     checks["rank_formula"] = True
 
-    if r == 1:
-        abelian_exponent = max_abelian_exponent(n, p, isotropic_budget=isotropic_budget)
-        conditional = False
-    else:
-        abelian_exponent = r + min(isotropy_free_dimension(n, r), 2 * n)
-        conditional = True
+    if r == 1 and max_abelian_exponent(n, p) != row.abelian_exponent:
+        raise CertificationError(
+            f"the Heisenberg group at (n, p) = ({n}, {p}) does not have abelian exponent "
+            f"{row.abelian_exponent}"
+        )
     checks["abelian_bound_recorded"] = True
+    # The bound for r > 1 rests on a form family with no common isotropic k-space.
+    conditional = row.k is not None
 
     notes = _omega_power_notes(n)
     if conditional:
@@ -467,11 +488,11 @@ def certify(
         tau=tau,
         tau_note="rank of the constructed bundle; stable-triviality padding not included",
         tau_best_known=tau_best_known,
-        group_order_exponent=2 * n + r,
-        group_order=p ** (2 * n + r),
-        abelian_exponent=abelian_exponent,
+        group_order_exponent=row.order_exponent,
+        group_order=p**row.order_exponent,
+        abelian_exponent=row.abelian_exponent,
         abelian_bound_conditional=conditional,
-        lambda_gamma=Fraction(abelian_exponent, 2 * n + r),
+        lambda_gamma=row.bound,
         checks=checks,
         notes=notes,
     )
@@ -494,7 +515,7 @@ def find_prime(
     modulus = n + 1
     candidate = start + (-(start - 1)) % modulus  # least value >= start congruent to 1
     while candidate <= ceiling:
-        if candidate % 2 and primes.is_prime(candidate) and h % candidate != 0:
+        if candidate % 2 and _is_prime(candidate) and h % candidate != 0:
             return candidate
         candidate += modulus
     raise SearchExhausted(
@@ -503,60 +524,10 @@ def find_prime(
     )
 
 
-@dataclass(frozen=True)
-class LambdaRow:
-    """One (n, r) entry of the abelian-fraction bound table.
-
-    ``bound`` = abelian_exponent / order_exponent bounds
-    log|A|/log|Gamma| over abelian subgroups A.  For r = 1 the exponents
-    are (n+1, 2n+1); for r > 1 they are (r + min(k, 2n), 2n + r) with
-    k = floor(4n/r) + 2.  ``exponent_form_exact`` records whether r | 4n,
-    in which case r + k is exactly 2 + r + 4n/r.
-    """
-
-    n: int
-    r: int
-    k: int | None
-    abelian_exponent: int
-    order_exponent: int
-    bound: Fraction
-    exponent_form_exact: bool
-
-
 def lambda_table(max_n: int, max_r: int) -> list[LambdaRow]:
     if max_n < 1 or max_r < 1:
         raise PreconditionError("max_n and max_r must be at least 1")
-    rows = []
-    for n in range(1, max_n + 1):
-        for r in range(1, max_r + 1):
-            if r == 1:
-                abelian, order = n + 1, 2 * n + 1
-                rows.append(
-                    LambdaRow(
-                        n=n,
-                        r=r,
-                        k=None,
-                        abelian_exponent=abelian,
-                        order_exponent=order,
-                        bound=Fraction(abelian, order),
-                        exponent_form_exact=True,
-                    )
-                )
-            else:
-                k = isotropy_free_dimension(n, r)
-                abelian, order = r + min(k, 2 * n), 2 * n + r
-                rows.append(
-                    LambdaRow(
-                        n=n,
-                        r=r,
-                        k=k,
-                        abelian_exponent=abelian,
-                        order_exponent=order,
-                        bound=Fraction(abelian, order),
-                        exponent_form_exact=(4 * n) % r == 0,
-                    )
-                )
-    return rows
+    return [lambda_row(n, r) for n in range(1, max_n + 1) for r in range(1, max_r + 1)]
 
 
 def epsilon_witness(rows: list[LambdaRow], epsilon: Fraction) -> LambdaRow | None:

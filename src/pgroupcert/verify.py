@@ -111,8 +111,19 @@ def _rederive_atilde(n: int) -> dict[tuple[int, int], Fraction]:
     }
 
 
-def _isotropy_free_dimension(n: int, r: int) -> int:
-    return 4 * n // r + 2
+def _bound_row(n: int, r: int, k: int | None = None) -> tuple[int | None, int, int, bool]:
+    """(k, abelian exponent, order exponent, r | 4n) of the abelian-subgroup bound at (n, r).
+
+    r = 1 is the Heisenberg group itself, abelian exponent n + 1 and no k.
+    For r > 1 the bound assumes a form family with no common isotropic
+    k-space, k = floor(4n/r) + 2 unless given, and is r + min(k, 2n).  The
+    order exponent is 2n + r either way.
+    """
+    if r == 1:
+        return None, n + 1, 2 * n + 1, True
+    if k is None:
+        k = 4 * n // r + 2
+    return k, r + min(k, 2 * n), 2 * n + r, (4 * n) % r == 0
 
 
 def _is_power(value: int, p: int, e: int) -> bool:
@@ -290,18 +301,13 @@ def _verify_construction(cert: dict, digest_ok: bool, budget: int, out: list[Che
     )
 
     group = cert["group"]
-    if r == 1:
-        expected_abelian = n + 1
-        expected_conditional = False
-    else:
-        expected_abelian = r + min(_isotropy_free_dimension(n, r), 2 * n)
-        expected_conditional = True
+    k, expected_abelian, order_exponent, _ = _bound_row(n, r)
     group_ok = (
-        decode_int(group["order_exponent"]) == 2 * n + r
-        and _is_power(decode_int(group["order"]), p, 2 * n + r)
+        decode_int(group["order_exponent"]) == order_exponent
+        and _is_power(decode_int(group["order"]), p, order_exponent)
         and decode_int(group["abelian_exponent"]) == expected_abelian
-        and group["abelian_bound_conditional"] == expected_conditional
-        and decode_fraction(group["lambda"]) == Fraction(expected_abelian, 2 * n + r)
+        and group["abelian_bound_conditional"] == (k is not None)
+        and decode_fraction(group["lambda"]) == Fraction(expected_abelian, order_exponent)
     )
     out.append(_check("group_bounds", group_ok, "group bound arithmetic does not re-derive"))
 
@@ -334,12 +340,12 @@ def _verify_construction(cert: dict, digest_ok: bool, budget: int, out: list[Che
 def _verify_group(cert: dict, digest_ok: bool, out: list[CheckResult]) -> None:
     n = decode_int(cert["n"])
     p = decode_int(cert["p"])
-    params_ok = 1 <= n <= MAX_GROUP_N and p >= 3 and p % 2 == 1
+    params_ok = 1 <= n <= MAX_GROUP_N and primes.is_odd_prime(p)
     out.append(
         _check(
             "params",
             params_ok,
-            f"bad parameters n={n}, p={p} (need 1 <= n <= {MAX_GROUP_N} and an odd p >= 3)",
+            f"bad parameters n={n}, p={p} (need 1 <= n <= {MAX_GROUP_N} and an odd prime p)",
         )
     )
     if not params_ok:
@@ -411,14 +417,10 @@ def _verify_olshanskii(cert: dict, digest_ok: bool, budget: int, out: list[Check
     # The number of stored forms is left to form_congruence, which needs
     # them to be exactly the r pullbacks.
     dim = 2 * n
-    try:
-        p_ok = p % 2 == 1 and primes.is_prime(p)
-    except ValueError:
-        p_ok = False
     params_ok = (
         n >= 1
         and r >= 2
-        and p_ok
+        and primes.is_odd_prime(p)
         and len(mats) == r
         and all(len(m) == dim and all(len(row) == dim for row in m) for m in mats + form_matrices)
     )
@@ -436,7 +438,7 @@ def _verify_olshanskii(cert: dict, digest_ok: bool, budget: int, out: list[Check
     out.append(
         _check(
             "k_choice",
-            k == _isotropy_free_dimension(n, r) and 4 * n < r * (k - 1),
+            k == _bound_row(n, r)[0] and 4 * n < r * (k - 1),
             f"k={k} is not the floor(4n/r)+2 choice or violates 4n < r(k-1)",
         )
     )
@@ -460,9 +462,10 @@ def _verify_olshanskii(cert: dict, digest_ok: bool, budget: int, out: list[Check
         )
     )
 
+    _, abelian_exponent, order_exponent, _ = _bound_row(n, r, k)
     exponents_ok = (
-        decode_int(cert["order_exponent"]) == 2 * n + r
-        and decode_int(cert["abelian_exponent"]) == r + min(k, 2 * n)
+        decode_int(cert["order_exponent"]) == order_exponent
+        and decode_int(cert["abelian_exponent"]) == abelian_exponent
     )
     out.append(_check("bound_exponents", exponents_ok, "bound exponent arithmetic is off"))
 
@@ -548,13 +551,7 @@ def _verify_lambda_table(cert: dict, out: list[CheckResult]) -> None:
     for row in rows:
         n = decode_int(row["n"])
         r = decode_int(row["r"])
-        if r == 1:
-            abelian, order, k = n + 1, 2 * n + 1, None
-            exact = True
-        else:
-            k = _isotropy_free_dimension(n, r)
-            abelian, order = r + min(k, 2 * n), 2 * n + r
-            exact = (4 * n) % r == 0
+        k, abelian, order, exact = _bound_row(n, r)
         row_k = row["k"] if row["k"] is None else decode_int(row["k"])
         if (
             row_k != k

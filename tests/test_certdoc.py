@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from pgroupcert import certdoc
+from pgroupcert.cli import main
 from pgroupcert.products import olshanskii_search, product_subgroup_bound
 from pgroupcert.series import OmegaSeries
 from pgroupcert.solver import certify
@@ -172,3 +173,20 @@ def test_golden_olshanskii_digests(n, r, p, seed):
         seed=seed,
     )
     assert doc["digest"] == GOLDEN_OLSHANSKII_DIGESTS[(n, r, p, seed)]
+
+
+# Full digests of the documents the abelian-bound rule feeds, as the CLI
+# builds them, pinned so that rewiring the rule cannot change a document.
+GOLDEN_CLI_DIGESTS = {
+    "lambda-table --max-n 12 --max-r 12 --epsilon 1/2": "79048b099284e988a7758fb8bc69a01945f5da388d647c876f8a537871741e52",
+    "group --n 2 --p 7": "5d3bf2257b10861861e7ae6f8a9ae5bb6696295981aae771c2a5c2001ef5e9d5",
+    "group --n 1 --p 5 --mode brute": "db9711cd7aa4bfe6af0daf5efe075725410469db0f4bb4876db247cb5bc741c8",
+    "certify --n 2 --r 1 --p 13": "cd34393cc5d128f940ede1a6bc43aeca662b4bab04d121ec8641fb6f3a7b9e77",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_CLI_DIGESTS))
+def test_golden_cli_digests(command, tmp_path):
+    out = tmp_path / "doc.json"
+    assert main([*command.split(), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["digest"] == GOLDEN_CLI_DIGESTS[command]

@@ -271,3 +271,31 @@ def test_olshanskii_rejects_bad_search_parameters(runner, args):
     # gave a document that verify rejects.
     result = runner.invoke(main, ["olshanskii", "--n", "1", "--r", "2", *args])
     assert result.exit_code == 2, result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["group", "--n", "1", "--p", "9"],
+        ["group", "--n", "1", "--p", "15"],
+        ["group", "--n", str(MAX_GROUP_N), "--p", str(10**50 + 1)],
+        ["group", "--n", "1", "--p", str(2**89 - 1)],
+        ["certify", "--n", "1", "--p", str(2**89 - 1)],
+        ["find-prime", "--n", "1", "--min", str(10**31), "--ceiling", str(10**31 + 100)],
+        ["certify", "--n", "1", "--r", "10000", "--p", "3"],
+    ],
+)
+def test_inputs_beyond_the_primality_test_or_the_document_are_usage_errors(runner, args):
+    # 2**89 - 1 is prime but beyond the deterministic primality test; the
+    # order 3^10002 has more digits than a document integer may hold.
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert result.output.count("usage:") == 1
+    assert "Traceback" not in result.output
+
+
+def test_certify_at_the_largest_order_a_document_holds(runner, tmp_path):
+    # 3^9002 has 4295 digits, within the 4300 a document integer may hold.
+    out = tmp_path / "cert.json"
+    assert runner.invoke(main, ["certify", "--n", "1", "--r", "9000", "--p", "3", "--out", str(out)]).exit_code == 0
+    assert runner.invoke(main, ["verify", str(out)]).exit_code == 0

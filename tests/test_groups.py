@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from pgroupcert import groups
 from pgroupcert.groups import (
     HeisenbergElement,
     brute_force_lambda,
@@ -144,6 +145,19 @@ def test_structural_exponent(n, p):
 def test_structural_agrees_with_brute_force(n, p):
     order, _ = brute_force_lambda(n, p)
     assert order == p ** max_abelian_exponent(n, p)
+
+
+def test_attainment_checks_the_group_law(monkeypatch):
+    # The twist <x, x'> no longer vanishes on the span {(x, 0, z)}, so its
+    # generators stop multiplying as coordinate addition.
+    def twisted_law(p, g, h):
+        n = len(g) // 2
+        twist = sum(map(operator.mul, g[:n], h[:n]))
+        return (*[(a + b) % p for a, b in zip(g[: 2 * n], h[: 2 * n])], (g[-1] + h[-1] + twist) % p)
+
+    monkeypatch.setattr(groups, "group_law", twisted_law)
+    with pytest.raises(RuntimeError, match="coordinate addition"):
+        max_abelian_exponent(2, 7)
 
 
 def test_abelian_bound_is_sharp_but_not_exceeded():

@@ -2,15 +2,17 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
-from pgroupcert import products
+from pgroupcert import products, verify
 from pgroupcert.groups import max_abelian_order
 from pgroupcert.products import (
     ProductSubgroupSpec,
     identity_matrix,
     isotropy_free_dimension,
+    lambda_row,
     olshanskii_search,
     product_subgroup_bound,
 )
@@ -25,6 +27,21 @@ def test_isotropy_free_dimension():
     # floor variant still satisfies 4n < r(k-1) when r does not divide 4n
     assert isotropy_free_dimension(3, 5) == 4
     assert 4 * 3 < 5 * (4 - 1)
+
+
+def test_lambda_row_is_the_written_out_rule_on_both_sides():
+    for n, r in itertools.product(range(1, 13), repeat=2):
+        if r == 1:
+            k, abelian, order, exact = None, n + 1, 2 * n + 1, True
+        else:
+            k = 4 * n // r + 2
+            abelian, order, exact = r + min(k, 2 * n), 2 * n + r, (4 * n) % r == 0
+        row = lambda_row(n, r)
+        assert (row.n, row.r, row.k) == (n, r, k)
+        assert (row.abelian_exponent, row.order_exponent) == (abelian, order)
+        assert row.bound == Fraction(abelian, order)
+        assert row.exponent_form_exact == exact
+        assert verify._bound_row(n, r) == (k, abelian, order, exact)
 
 
 def test_search_rejects_single_factor():

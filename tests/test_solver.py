@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+from pgroupcert import solver
 from pgroupcert.exterior import atilde_table
 from pgroupcert.series import OmegaSeries
 from pgroupcert.solver import (
@@ -292,6 +293,13 @@ def test_lambda_table_values():
     assert rows[(4, 4)].order_exponent == 12
     assert rows[(4, 4)].exponent_form_exact
     assert not rows[(3, 5) if (3, 5) in rows else (1, 3)].exponent_form_exact
+
+
+def test_certify_refuses_a_group_that_disagrees_with_the_row(monkeypatch):
+    monkeypatch.setattr(solver, "max_abelian_exponent", lambda n, p: n + 2)
+    with pytest.raises(CertificationError, match="abelian exponent 3"):
+        certify(2, 1, 7)
+    certify(2, 2, 7)  # r > 1 reads the row alone
 
 
 def test_lambda_r1_column_strictly_decreasing_toward_half():

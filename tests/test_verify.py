@@ -227,7 +227,10 @@ def test_group_stored_exponent_is_bounded():
     assert "lambda_arithmetic" in {result.name for result in report.failures()}
 
 
-@pytest.mark.parametrize("n,p", [(10**6, 3), (MAX_GROUP_N + 1, 3), (0, 3), (1, 0), (1, 4)])
+@pytest.mark.parametrize(
+    "n,p",
+    [(10**6, 3), (MAX_GROUP_N + 1, 3), (0, 3), (1, 0), (1, 4), (1, 9), (1, 2**89 - 1), (MAX_GROUP_N, 10**50 + 1)],
+)
 def test_group_params_are_rejected_before_any_arithmetic(monkeypatch, n, p):
     def refuse(*args, **kwargs):
         raise AssertionError("bound recomputed for out-of-range parameters")
