@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 _MODULE_EXPORTS = {
     "exterior": (
         "OmegaPowerRow",
-        "SymmetrizationError",
         "a_table",
         "atilde_table",
         "omega_power_table",
@@ -53,8 +52,6 @@ _MODULE_EXPORTS = {
         "direct_sum",
         "line_power_chern",
         "pullback_w",
-        "series_inverse",
-        "series_mul",
     ),
     "solver": (
         "CertificationError",

@@ -35,6 +35,10 @@ _SAFE_INT_BOUND = 2**53
 #: on int/str conversion, which writing and reading a document both go through.
 MAX_INT_DIGITS = 4300
 
+#: Most rows (max_n * max_r) a lambda table may have; its producer refuses
+#: a larger grid before building a row, and its verifier before reading one.
+MAX_LAMBDA_TABLE_ROWS = 10_000
+
 
 class ParseError(ValueError):
     """The document is not valid JSON of the expected schema."""

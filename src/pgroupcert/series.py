@@ -129,14 +129,6 @@ class OmegaSeries:
         return " + ".join(parts) if parts else "0"
 
 
-def series_mul(a: OmegaSeries, b: OmegaSeries) -> OmegaSeries:
-    return a * b
-
-
-def series_inverse(a: OmegaSeries) -> OmegaSeries:
-    return a.inverse()
-
-
 def assert_chern_series(series: OmegaSeries, context: str) -> None:
     if series.coeffs[0] != 1:
         raise ValueError(f"{context}: total Chern class must start with 1")

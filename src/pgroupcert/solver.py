@@ -94,32 +94,38 @@ class RootFamily:
                 raise CertificationError(f"lift {a} does not reduce to residue {alpha}")
             if a % p == 0:
                 raise CertificationError(f"lift {a} is divisible by p={p}")
-        for j in range(1, n + 1):
-            sigma = elementary_symmetric(list(self.lifts))[j - 1]
+        for j, sigma in enumerate(elementary_symmetric(list(self.lifts))[:n], start=1):
             if sigma % q:
                 raise CertificationError(
                     f"symmetric function sigma_{j} = {sigma} is not divisible by p^n = {q}"
                 )
 
 
-def _primitive_root_mod_prime_power(p: int, n: int) -> int:
-    """A generator of the cyclic group (Z/p^n)*, p an odd prime.
+def _root_of_unity_generator(n: int, p: int) -> int:
+    """An element of order exactly n+1 in (Z/p^n)*, for an odd prime p = 1 mod (n+1).
 
-    The primes dividing phi = (p-1) p^(n-1) are those of p-1, and p itself
-    when n >= 2; factoring p-1 alone keeps trial division from running up
-    to p on the leftover p^2 when n >= 3.
+    The group is cyclic of order phi = (p-1) p^(n-1), so h = g^(phi/(n+1))
+    has order dividing n+1 for every unit g, and order exactly n+1 unless
+    h^((n+1)/l) = 1 for a prime l dividing n+1.  Only n+1 is factored.  A
+    primitive root g mod p gives h = g^((p-1)/(n+1)) of order n+1 mod p,
+    so the search ends before g reaches p.
     """
-    phi = (p - 1) * p ** (n - 1)
-    factors = primes.prime_factors(p - 1) + ([p] if n >= 2 else [])
+    q = p**n
+    exponent = (p - 1) * p ** (n - 1) // (n + 1)
+    factors = primes.prime_factors(n + 1)
     g = 2
     while True:
-        if g % p and all(pow(g, phi // ell, p**n) != 1 for ell in factors):
-            return g
+        h = pow(g, exponent, q)
+        if all(pow(h, (n + 1) // ell, q) != 1 for ell in factors):
+            return h
         g += 1
 
 
 def find_roots(n: int, p: int, lift: str = "nonneg") -> RootFamily:
-    """All n+1 roots of alpha^(n+1) = 1 mod p^n, via a generator of the unit group.
+    """All n+1 roots of alpha^(n+1) = 1 mod p^n, as the powers of one element of order n+1.
+
+    The cyclic group (Z/p^n)* has exactly one subgroup of order n+1, so
+    these powers are all of the roots whichever such element is found.
 
     ``lift`` picks the integer representatives: "nonneg" takes the least
     nonnegative ones, "symmetric" the ones in (-p^n/2, p^n/2).
@@ -135,9 +141,7 @@ def find_roots(n: int, p: int, lift: str = "nonneg") -> RootFamily:
     if lift not in ("nonneg", "symmetric"):
         raise PreconditionError(f"unknown lift convention {lift!r}")
     q = p**n
-    phi = (p - 1) * p ** (n - 1)
-    g = _primitive_root_mod_prime_power(p, n)
-    zeta = pow(g, phi // (n + 1), q)
+    zeta = _root_of_unity_generator(n, p)
     residues = tuple(sorted(pow(zeta, i, q) for i in range(n + 1)))
     if lift == "nonneg":
         lifts = residues
@@ -145,32 +149,15 @@ def find_roots(n: int, p: int, lift: str = "nonneg") -> RootFamily:
         lifts = tuple(a if a <= q // 2 else a - q for a in residues)
     family = RootFamily(n=n, p=p, residues=residues, lifts=lifts, lift_convention=lift)
     family.validate()
-    # generators alpha of the cyclic root group have alpha^j - 1 invertible
-    # mod p^n for 1 <= j <= n; that makes sigma_j vanish mod p^n.  Roots of
-    # smaller order (such as -1 when n+1 is even) do not satisfy this,
-    # which is why the check is restricted to generators.
-    for alpha in generators_of_root_group(family):
-        for j in range(1, n + 1):
-            if gcd(pow(alpha, j, q) - 1, p) != 1:
-                raise CertificationError(
-                    f"alpha^{j} - 1 is not a unit mod p^n for generator alpha={alpha}"
-                )
+    # zeta^j - 1 invertible mod p^n for 1 <= j <= n makes sigma_j vanish
+    # mod p^n.  Every generator of the cyclic root group is zeta^i with
+    # gcd(i, n+1) = 1, whose powers j = 1..n are exactly zeta^1..zeta^n, so
+    # checking zeta covers them all.  Roots of smaller order (such as -1
+    # when n+1 is even) do not satisfy this.
+    for j in range(1, n + 1):
+        if gcd(pow(zeta, j, q) - 1, p) != 1:
+            raise CertificationError(f"zeta^{j} - 1 is not a unit mod p^n for zeta={zeta}")
     return family
-
-
-def generators_of_root_group(family: RootFamily) -> list[int]:
-    """Residues of multiplicative order exactly n+1 (generators of the cyclic root group)."""
-    n, q = family.n, family.p**family.n
-    out = []
-    for alpha in family.residues:
-        order = 1
-        power = alpha % q
-        while power != 1:
-            power = power * alpha % q
-            order += 1
-        if order == n + 1:
-            out.append(alpha)
-    return out
 
 
 # -- the constant M(n) -----------------------------------------------------
@@ -527,6 +514,10 @@ def find_prime(
 def lambda_table(max_n: int, max_r: int) -> list[LambdaRow]:
     if max_n < 1 or max_r < 1:
         raise PreconditionError("max_n and max_r must be at least 1")
+    if max_n * max_r > certdoc.MAX_LAMBDA_TABLE_ROWS:
+        raise PreconditionError(
+            f"max_n * max_r = {max_n * max_r} rows exceeds the limit {certdoc.MAX_LAMBDA_TABLE_ROWS}"
+        )
     return [lambda_row(n, r) for n in range(1, max_n + 1) for r in range(1, max_r + 1)]
 
 

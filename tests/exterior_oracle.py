@@ -1,12 +1,15 @@
 """Test-only oracle: the full exterior algebra on ``u_1..u_n, v_1..v_n``.
 
 The library computes the symmetrization coefficients in the commuting
-subring ``y_i = u_i v_i``.  This module keeps the generic route the
-tests compare it with: exact wedge arithmetic with sorted-generator
-normal forms, coordinate-permutation pullbacks, and the product of
+subring ``y_i = u_i v_i``, by a closed form and by counting block
+splittings.  This module keeps the brute routes the tests compare them
+with: exact wedge arithmetic with sorted-generator normal forms,
+coordinate-permutation pullbacks, and the product of
 ``1 + sigma^*(u_[k] v_[k])`` over all n! permutations, rewritten in
-powers of omega.  It costs n! products in a 2^(2n)-term algebra, so it
-is only run for small n.
+powers of omega, which costs n! products in a 2^(2n)-term algebra and so
+is only run for small n; and the expansion of the subset product
+``prod_{|S|=k} (1 + c y_S)`` over bitmask-indexed integers, which costs
+up to 2^n terms.
 
 Coefficients are `fractions.Fraction`, never floats.  Values are treated
 as immutable; all operations return new objects.
@@ -17,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Iterable, Iterator, Mapping
 
 Rational = int | Fraction
@@ -302,4 +306,39 @@ def oracle_symmetrization_coefficients(n: int, k: int) -> list[Fraction]:
         coefficients.append(a_kj)
         residual = residual - a_kj * power
     assert residual.is_zero(), f"residual outside the omega subring: {residual!r}"
+    return coefficients
+
+
+def _subset_masks(n: int, size: int) -> list[int]:
+    return [sum(1 << i for i in subset) for subset in itertools.combinations(range(n), size)]
+
+
+def subset_expansion_coefficients(n: int, k: int) -> list[Fraction]:
+    """a_{k,1..n//k} by expanding prod_{|S|=k} (1 + eps_k k!(n-k)! y_S) over subsets.
+
+    Each term is a bitmask of the y_i it contains.  The result must be
+    1 plus a uniform multiple of e_{jk}(y) for each j, and a_{k,1} must be
+    nonzero; anything else fails an assertion.  There is no cap on n; the
+    work grows as 2^n.
+    """
+    assert 1 <= k <= n, f"need 1 <= k <= n, got k={k}, n={n}"
+    sign = -1 if k * (k - 1) // 2 % 2 else 1
+    c = sign * factorial(k) * factorial(n - k)
+    terms = {0: 1}
+    for block in _subset_masks(n, k):
+        # targets contain the block and sources miss it, so updating in place is safe
+        for mask, coeff in list(terms.items()):
+            if not mask & block:
+                terms[mask | block] = terms.get(mask | block, 0) + c * coeff
+
+    constant = terms.pop(0)
+    coefficients = []
+    for j in range(1, n // k + 1):
+        row = {terms.pop(mask, 0) for mask in _subset_masks(n, j * k)}
+        assert len(row) == 1, f"degree-{j * k} part at (n={n}, k={k}) is not a multiple of e_{j * k}(y)"
+        coefficients.append(Fraction(row.pop(), factorial(j * k)))
+    assert constant == 1 and not any(terms.values()), (
+        f"symmetrized product at (n={n}, k={k}) is not a polynomial in omega"
+    )
+    assert coefficients[0] != 0, f"leading coefficient a_{{{k},1}} vanished at n={n}"
     return coefficients

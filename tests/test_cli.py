@@ -6,12 +6,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from pgroupcert import certdoc
+from pgroupcert import certdoc, solver
 from pgroupcert.cli import main
 from pgroupcert.exterior import MAX_SYMMETRIZATION_N
 from pgroupcert.groups import MAX_GROUP_N
@@ -256,6 +257,29 @@ def test_verify_reports_a_lambda_table_with_a_zero_r_row(runner, tmp_path):
     result = runner.invoke(main, ["verify", str(out)])
     assert result.exit_code == 1
     assert "FAIL lambda_table:params" in result.output
+
+
+def test_lambda_table_over_the_row_limit_is_a_usage_error(runner, monkeypatch):
+    # 300 x 300 used to take seconds and hundreds of MB before writing a byte.
+    monkeypatch.setattr(solver, "lambda_row", lambda n, r: pytest.fail("a row was built"))
+    result = runner.invoke(main, ["lambda-table", "--max-n", "101", "--max-r", "100"])
+    assert result.exit_code == 2, result.output
+    assert result.output.count("usage:") == 1
+    assert "Traceback" not in result.output
+
+
+def test_certify_and_verify_at_a_safe_prime_near_the_primality_limit(runner, tmp_path):
+    # p - 1 = 2q with q prime: finding the roots by factoring p - 1 would
+    # take hours.  Both commands must finish within 5 s.
+    out = tmp_path / "cert.json"
+    p = "1000000000000000000004903"
+    start = time.perf_counter()
+    result = runner.invoke(main, ["certify", "--n", "1", "--r", "1", "--p", p, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["verify", str(out)])
+    assert result.exit_code == 0, result.output
+    assert "FAIL" not in result.output
+    assert time.perf_counter() - start < 5.0
 
 
 def test_olshanskii_at_a_large_prime(runner, tmp_path):

@@ -15,11 +15,12 @@ from exterior_oracle import (
     omega,
     oracle_symmetrization_coefficients,
     permutation_pullback,
+    subset_expansion_coefficients,
     wedge,
 )
+from pgroupcert import exterior
 from pgroupcert.exterior import (
     MAX_SYMMETRIZATION_N,
-    SymmetrizationError,
     a_table,
     atilde_table,
     omega_power_table,
@@ -253,8 +254,6 @@ def test_symmetrization_against_hand_tables(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_symmetrization_leading_coefficient_nonzero(n):
-    # residual-free expansion and a_{k,1} != 0 are asserted inside; no
-    # SymmetrizationError may escape for any k
     for k in range(1, n + 1):
         coeffs = symmetrization_coefficients(n, k)
         assert coeffs[0] != 0
@@ -275,9 +274,22 @@ def test_tables_cap():
 
 @pytest.mark.parametrize("n", range(1, MAX_SYMMETRIZATION_N + 1))
 def test_closed_form_matches_subset_expansion(n):
+    # the producer's closed form against the verifier's block-count
+    # recursion and the brute bitmask expansion of the subset product
     table = a_table(n)
     for k in range(1, n + 1):
-        assert symmetrization_coefficients(n, k) == [table[(k, j)] for j in range(1, n // k + 1)]
+        expected = [table[(k, j)] for j in range(1, n // k + 1)]
+        assert symmetrization_coefficients(n, k) == expected
+        assert subset_expansion_coefficients(n, k) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_block_count_recursion_matches_subset_expansion(n, monkeypatch):
+    # The recursion holds for every n; the cap only bounds the work the
+    # producer and verifier accept, so it is lifted here to reach n = 12.
+    monkeypatch.setattr(exterior, "MAX_SYMMETRIZATION_N", 12)
+    for k in range(1, n + 1):
+        assert symmetrization_coefficients(n, k) == subset_expansion_coefficients(n, k)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -13,14 +13,13 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # Every name the package exports; README and the demos import from here.
 EXPORTED = {
-    "OmegaPowerRow", "SymmetrizationError", "a_table", "atilde_table", "omega_power_table",
-    "symmetrization_coefficients",
+    "OmegaPowerRow", "a_table", "atilde_table", "omega_power_table", "symmetrization_coefficients",
     "HeisenbergElement", "brute_force_lambda", "enumerate_group", "gen_a", "gen_b", "gen_f",
     "group_order", "identity", "max_abelian_exponent", "max_abelian_order",
     "ProductBound", "ProductSubgroupSpec", "isotropy_free_dimension", "olshanskii_search",
     "product_subgroup_bound",
     "BundleDescriptor", "OmegaSeries", "chern_F", "chern_G", "direct_sum", "line_power_chern",
-    "pullback_w", "series_inverse", "series_mul",
+    "pullback_w",
     "CertificationError", "ConstructionCertificate", "DeltaSolution", "DivisibilityError",
     "LambdaRow", "PreconditionError", "RootFamily", "SearchExhausted", "certify", "compute_M",
     "epsilon_witness", "find_prime", "find_roots", "lambda_table", "rank_formula", "solve_deltas",

@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from pgroupcert import solver
+from pgroupcert import certdoc, primes, solver
 from pgroupcert.exterior import atilde_table
 from pgroupcert.series import OmegaSeries
 from pgroupcert.solver import (
@@ -14,18 +14,17 @@ from pgroupcert.solver import (
     PreconditionError,
     RootFamily,
     SearchExhausted,
-    _primitive_root_mod_prime_power,
     certify,
     compute_M,
     elementary_symmetric,
     epsilon_witness,
     find_prime,
     find_roots,
-    generators_of_root_group,
     lambda_table,
     rank_formula,
     solve_deltas,
 )
+from roots_oracle import multiplicative_order, primitive_root_mod_prime_power
 
 F = Fraction
 
@@ -48,21 +47,17 @@ def test_find_roots_n2_p7_pinned_and_oracle():
     assert family.residues == oracle
 
 
+# The oracle route to the roots: a generator of the whole unit group,
+# found by factoring p - 1.  The two tests below check the oracle itself.
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_primitive_root_is_the_least_generator(p, n):
     q = p**n
     phi = (p - 1) * p ** (n - 1)
-
-    def order(g):
-        k, x = 1, g % q
-        while x != 1:
-            x = x * g % q
-            k += 1
-        return k
-
-    least = next(g for g in range(2, q) if g % p and order(g) == phi)
-    assert _primitive_root_mod_prime_power(p, n) == least
+    least = next(g for g in range(2, q) if g % p and multiplicative_order(g, q) == phi)
+    assert primitive_root_mod_prime_power(p, n) == least
 
 
 @pytest.mark.parametrize("n,expected", [(1, 5), (2, 10), (3, 10)])
@@ -72,7 +67,38 @@ def test_primitive_root_when_the_least_root_mod_p_fails_mod_p_squared(n, expecte
     # p^n for n >= 2: the factor p of phi is what rules it out.
     p = 40487
     assert pow(5, p - 1, p * p) == 1
-    assert _primitive_root_mod_prime_power(p, n) == expected
+    assert primitive_root_mod_prime_power(p, n) == expected
+
+
+def _usable_primes(n, count):
+    """The least `count` odd primes p = 1 mod (n+1) above M(n)."""
+    out, p = [], compute_M(n) + 1
+    while len(out) < count:
+        if p % 2 and p % (n + 1) == 1 and primes.is_prime(p):
+            out.append(p)
+        p += 1
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_find_roots_matches_the_unit_group_generator_route(n):
+    # The subgroup of order n+1 is unique, so the powers of g^(phi/(n+1)),
+    # g a generator of (Z/p^n)*, are the same residues.
+    for p in _usable_primes(n, 16):
+        q = p**n
+        g = primitive_root_mod_prime_power(p, n)
+        zeta = pow(g, (p - 1) * p ** (n - 1) // (n + 1), q)
+        assert find_roots(n, p).residues == tuple(sorted(pow(zeta, i, q) for i in range(n + 1)))
+
+
+@pytest.mark.parametrize(
+    "n,p", [(1, 3), (1, 5), (1, 7), (2, 7), (2, 13), (2, 19), (3, 5), (3, 13), (3, 17), (4, 11)]
+)
+def test_find_roots_is_the_brute_root_set(n, p):
+    q = p**n
+    brute = tuple(a for a in range(1, q) if pow(a, n + 1, q) == 1)
+    assert find_roots(n, p).residues == brute
+
 
 
 def test_find_roots_preconditions():
@@ -105,13 +131,14 @@ def test_sigma_divisibility_all_cases(n, p):
 
 
 def test_generator_powers_minus_one_are_units():
-    family = find_roots(3, 13)
-    q = 13**3
-    gens = generators_of_root_group(family)
-    assert gens  # a cyclic group of order n+1 has generators
-    for alpha in gens:
-        for j in range(1, 4):
-            assert gcd(pow(alpha, j, q) - 1, 13) == 1
+    for n, p in [(3, 13), (4, 11), (5, 127)]:
+        family = find_roots(n, p)
+        q = p**n
+        gens = [alpha for alpha in family.residues if multiplicative_order(alpha, q) == n + 1]
+        assert gens  # a cyclic group of order n+1 has generators
+        for alpha in gens:
+            for j in range(1, n + 1):
+                assert gcd(pow(alpha, j, q) - 1, p) == 1
 
 
 # -- the constant M ------------------------------------------------------------
@@ -281,6 +308,13 @@ def test_find_prime_examples():
 def test_find_prime_exhaustion():
     with pytest.raises(SearchExhausted):
         find_prime(2, ceiling=6)
+
+
+def test_lambda_table_row_limit_is_inclusive():
+    assert certdoc.MAX_LAMBDA_TABLE_ROWS == 100 * 100
+    assert len(lambda_table(100, 100)) == 100 * 100
+    with pytest.raises(PreconditionError, match="exceeds the limit"):
+        lambda_table(101, 100)
 
 
 def test_lambda_table_values():

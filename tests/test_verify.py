@@ -174,6 +174,20 @@ def test_residue_mutation_fails_roots():
     assert any(r.name == "roots" for r in report.failures())
 
 
+def test_atilde_mutation_fails_the_table_check():
+    # The verifier rebuilds M and the Chern product from its own table, so
+    # the stored table is caught by atilde_table alone.
+    doc = json.loads(json.dumps(construction_doc(2, 1, 7)))
+    entry = doc["certificate"]["atilde"][1]
+    assert (entry["k"], entry["j"]) == (1, 2)
+    entry["value"]["num"] = str(int(entry["value"]["num"]) + 1)
+    report = verify_document(fix_digest(doc))
+    assert report.results[0].passed
+    failed = {r.name: r.detail for r in report.failures()}
+    assert list(failed) == ["atilde_table"]
+    assert "block-count recursion" in failed["atilde_table"]
+
+
 def test_unknown_kind_rejected():
     doc = certdoc.build_document("nonsense", "x", {}, {})
     report = verify_document(doc)
@@ -311,8 +325,8 @@ def test_olshanskii_params_are_rejected_before_any_arithmetic(monkeypatch, edit)
 
 @pytest.mark.parametrize("n,p", [(3, 1000000009), (4, 1000000021), (6, 1000000009)])
 def test_construction_at_a_large_prime_is_quick(n, p):
-    # Finding a generator of (Z/p^n)* must factor only p - 1: trial division
-    # of phi = (p - 1) p^(n-1) would run up to p.
+    # Finding the roots of unity must factor only n + 1: trial division of
+    # phi = (p - 1) p^(n-1) would run up to p.
     start = time.perf_counter()
     report = verify_document(reserialize(construction_doc(n, 1, p)))
     assert time.perf_counter() - start < 2.0
@@ -469,6 +483,22 @@ def test_lambda_table_params_are_checked_before_any_arithmetic(edit):
     assert time.perf_counter() - start < 1.0
     assert report.results[0].passed
     assert [result.name for result in report.failures()] == ["params"]
+
+
+def test_lambda_table_over_the_row_limit_fails_params():
+    # A real 101 x 100 grid, built past the producer's own refusal.
+    rows = [products.lambda_row(n, r) for n in range(1, 102) for r in range(1, 101)]
+    doc = certdoc.build_document(
+        "lambda_table",
+        "lambda-table",
+        {"max_n": 101, "max_r": 100},
+        certdoc.lambda_table_payload(101, 100, rows, None, None),
+    )
+    report = verify_document(reserialize(doc))
+    assert report.results[0].passed
+    failed = {r.name: r.detail for r in report.failures()}
+    assert list(failed) == ["params"]
+    assert f"at most {certdoc.MAX_LAMBDA_TABLE_ROWS} rows" in failed["params"]
 
 
 @pytest.mark.parametrize("n,p", [(1, 3), (1, 5), (1, 7), (2, 3)])
