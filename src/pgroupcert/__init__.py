@@ -25,14 +25,8 @@ _MODULE_EXPORTS = {
         "symmetrization_coefficients",
     ),
     "groups": (
-        "HeisenbergElement",
         "brute_force_lambda",
-        "enumerate_group",
-        "gen_a",
-        "gen_b",
-        "gen_f",
         "group_order",
-        "identity",
         "max_abelian_exponent",
         "max_abelian_order",
     ),

@@ -1,8 +1,9 @@
 """Certificate documents: exact JSON encoding, canonical serialization, content digest.
 
 Exactness is the product, so nothing is ever a float: integers beyond
-2**53 are encoded as decimal strings (to survive lossy JSON consumers)
-and rationals are always {"num": ..., "den": ...} string pairs.  Keys
+2**53 are encoded as decimal strings (to survive lossy JSON consumers),
+or as "0x..." hex strings past MAX_INT_DIGITS decimal digits, and
+rationals are always {"num": ..., "den": ...} string pairs.  Keys
 are sorted everywhere, so serialized documents are diffable, and the
 sha256 digest of the canonical serialization binds the document content:
 the verifier rejects any mutation, including ones that would happen to
@@ -31,9 +32,18 @@ SCHEMA_VERSION = "1"
 
 _SAFE_INT_BOUND = 2**53
 
-#: Most decimal digits a document integer may have: CPython's default limit
-#: on int/str conversion, which writing and reading a document both go through.
+#: Most decimal digits a document integer is written with: CPython's default
+#: limit on int/str conversion, which writing and reading a document both go
+#: through.  A larger integer is written in hex, which the limit does not cover.
 MAX_INT_DIGITS = 4300
+
+#: Integers of absolute value below this are written in decimal.
+_DECIMAL_LIMIT = 10**MAX_INT_DIGITS
+
+#: Most hex digits a "0x..." integer may have, checked before it is parsed:
+#: 2^19 bits, above the largest count a size-bounded form-family search
+#: records (about 379,000 bits, at n = 73, r = 3 and p near is_prime's ceiling).
+MAX_HEX_DIGITS = 2**17
 
 #: Most rows (max_n * max_r) a lambda table may have; its producer refuses
 #: a larger grid before building a row, and its verifier before reading one.
@@ -47,10 +57,15 @@ class ParseError(ValueError):
 # -- exact scalar encoding ---------------------------------------------------
 
 
+def _int_string(value: int) -> str:
+    """Decimal up to MAX_INT_DIGITS digits, "0x..." (or "-0x...") past them."""
+    return str(value) if abs(value) < _DECIMAL_LIMIT else hex(value)
+
+
 def encode_int(value: int) -> int | str:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"expected an int, got {type(value).__name__}")
-    return value if abs(value) <= _SAFE_INT_BOUND else str(value)
+    return value if abs(value) <= _SAFE_INT_BOUND else _int_string(value)
 
 
 def decode_int(value: Any) -> int:
@@ -59,8 +74,14 @@ def decode_int(value: Any) -> int:
     if isinstance(value, int):
         return value
     if isinstance(value, str):
+        base = 10
+        magnitude = value.lstrip("-")
+        if magnitude.startswith("0x"):
+            base = 16
+            if len(magnitude) - 2 > MAX_HEX_DIGITS:
+                raise ParseError(f"hex integer of {len(magnitude) - 2} digits exceeds the limit {MAX_HEX_DIGITS}")
         try:
-            return int(value, 10)
+            return int(value, base)
         except ValueError as exc:
             raise ParseError(f"bad integer literal {value!r}") from exc
     raise ParseError(f"expected an integer, got {type(value).__name__}")
@@ -68,7 +89,7 @@ def decode_int(value: Any) -> int:
 
 def encode_fraction(value: Fraction | int) -> dict[str, str]:
     frac = Fraction(value)
-    return {"num": str(frac.numerator), "den": str(frac.denominator)}
+    return {"num": _int_string(frac.numerator), "den": _int_string(frac.denominator)}
 
 
 def decode_fraction(value: Any) -> Fraction:
@@ -231,6 +252,11 @@ def group_report_payload(
 
 
 def olshanskii_payload(spec: ProductSubgroupSpec, bound: ProductBound | None) -> dict[str, Any]:
+    transcript = dict(spec.transcript)
+    examined = transcript.get("subspaces_examined_per_attempt", 0)
+    if abs(examined) >= _DECIMAL_LIMIT:
+        # The count is a bare JSON number, which json writes in decimal.
+        transcript["subspaces_examined_per_attempt"] = _int_string(examined)
     payload = {
         "n": spec.n,
         "p": spec.p,
@@ -239,7 +265,7 @@ def olshanskii_payload(spec: ProductSubgroupSpec, bound: ProductBound | None) ->
         "mats": [encode_matrix(a) for a in spec.mats],
         "forms": [encode_matrix(f.matrix) for f in spec.forms],
         "certified": spec.certified,
-        "transcript": spec.transcript,
+        "transcript": transcript,
         "order_exponent": spec.order_exponent,
         "abelian_exponent": spec.abelian_exponent,
     }

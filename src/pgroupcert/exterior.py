@@ -34,9 +34,9 @@ float.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from typing import NamedTuple
 
 #: The one work bound on n, for the producer's and the verifier's tables
 #: alike.  Past it the bundle rank n+1 + n(n+1)/2 * n! and the threshold
@@ -54,8 +54,7 @@ def _sign(k: int) -> int:
     return -1 if k * (k - 1) // 2 % 2 else 1
 
 
-@dataclass(frozen=True)
-class OmegaPowerRow:
+class OmegaPowerRow(NamedTuple):
     """One row of the omega-power table: omega**k == coefficient * sum_{|I|=k} u_I*v_I (sorted).
 
     The commonly quoted closed form ``(-1)**k * n!/(n-k)!`` is kept in

@@ -10,20 +10,18 @@ commutator law reads [g, h] = f^(omega(eta(g), eta(h))) with the standard
 symplectic form omega and f the central generator (0, 0, 1); the sign is
 pinned by the test suite via [a_i, b_i] = f.
 
-The law is written once, in group_law, on coordinate tuples x + y + (z,);
-HeisenbergElement multiplies through it.  Two independent routes to the
-maximal-abelian-subgroup order are provided.  The structural one proves
-attainment by a closed form (the span {(x, 0, z)} is abelian of order
-p^(n+1), checked on its generators through group_law) and the upper bound
-by enumerating isotropic subspaces.  The brute-force oracle uses only the
-group law.
+The law is written once, in group_law, on coordinate tuples x + y + (z,).
+Two independent routes to the maximal-abelian-subgroup order are
+provided.  The structural one proves attainment by a closed form (the
+span {(x, 0, z)} is abelian of order p^(n+1), checked on its generators
+through group_law) and the upper bound by enumerating isotropic
+subspaces.  The brute-force oracle uses only the group law.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Sequence
@@ -58,97 +56,6 @@ def group_law(p: int, g: Coords, h: Coords) -> Coords:
     return (*[(a + b) % p for a, b in zip(g[: 2 * n], h[: 2 * n])], (g[-1] + h[-1] + twist) % p)
 
 
-@dataclass(frozen=True)
-class HeisenbergElement:
-    n: int
-    p: int
-    x: tuple[int, ...]
-    y: tuple[int, ...]
-    z: int
-
-    def __post_init__(self) -> None:
-        if len(self.x) != self.n or len(self.y) != self.n:
-            raise ValueError("x and y must have length n")
-        object.__setattr__(self, "x", tuple(v % self.p for v in self.x))
-        object.__setattr__(self, "y", tuple(v % self.p for v in self.y))
-        object.__setattr__(self, "z", self.z % self.p)
-
-    # -- group structure ------------------------------------------------
-
-    def _check_compatible(self, other: "HeisenbergElement") -> None:
-        if (self.n, self.p) != (other.n, other.p):
-            raise ValueError(
-                f"elements of different groups: (n,p)=({self.n},{self.p}) vs ({other.n},{other.p})"
-            )
-
-    @classmethod
-    def from_coords(cls, n: int, p: int, coords: Coords) -> "HeisenbergElement":
-        return cls(n, p, coords[:n], coords[n : 2 * n], coords[2 * n])
-
-    def coords(self) -> Coords:
-        return self.x + self.y + (self.z,)
-
-    def __mul__(self, other: "HeisenbergElement") -> "HeisenbergElement":
-        self._check_compatible(other)
-        return HeisenbergElement.from_coords(self.n, self.p, group_law(self.p, self.coords(), other.coords()))
-
-    def inverse(self) -> "HeisenbergElement":
-        twist = sum(a * b for a, b in zip(self.x, self.y))
-        return HeisenbergElement(
-            self.n,
-            self.p,
-            tuple(-a for a in self.x),
-            tuple(-a for a in self.y),
-            -self.z + twist,
-        )
-
-    def __pow__(self, exponent: int) -> "HeisenbergElement":
-        base = self if exponent >= 0 else self.inverse()
-        result = identity(self.n, self.p)
-        for _ in range(abs(exponent)):
-            result = result * base
-        return result
-
-    def commutator(self, other: "HeisenbergElement") -> "HeisenbergElement":
-        """g^-1 h^-1 g h, computed literally through group multiplication."""
-        return self.inverse() * other.inverse() * self * other
-
-    def commutes_with(self, other: "HeisenbergElement") -> bool:
-        return self * other == other * self
-
-    def is_identity(self) -> bool:
-        return self.z == 0 and not any(self.x) and not any(self.y)
-
-    def eta(self) -> tuple[int, ...]:
-        """Projection to (Z_p)^(2n) killing the center."""
-        return self.x + self.y
-
-
-def identity(n: int, p: int) -> HeisenbergElement:
-    return HeisenbergElement(n, p, (0,) * n, (0,) * n, 0)
-
-
-def gen_a(n: int, p: int, i: int) -> HeisenbergElement:
-    """Generator a_i = (e_i, 0, 0)."""
-    if not 1 <= i <= n:
-        raise ValueError(f"a_{i} undefined for n={n}")
-    x = tuple(1 if j == i - 1 else 0 for j in range(n))
-    return HeisenbergElement(n, p, x, (0,) * n, 0)
-
-
-def gen_b(n: int, p: int, i: int) -> HeisenbergElement:
-    """Generator b_i = (0, e_i, 0)."""
-    if not 1 <= i <= n:
-        raise ValueError(f"b_{i} undefined for n={n}")
-    y = tuple(1 if j == i - 1 else 0 for j in range(n))
-    return HeisenbergElement(n, p, (0,) * n, y, 0)
-
-
-def gen_f(n: int, p: int) -> HeisenbergElement:
-    """Central generator f = (0, 0, 1)."""
-    return HeisenbergElement(n, p, (0,) * n, (0,) * n, 1)
-
-
 def group_order(n: int, p: int) -> int:
     return p ** (2 * n + 1)
 
@@ -158,10 +65,6 @@ def _all_coords(n: int, p: int, budget: int) -> list[Coords]:
     if order > budget:
         raise BudgetExceeded(order, budget, what="group elements")
     return list(itertools.product(range(p), repeat=2 * n + 1))
-
-
-def enumerate_group(n: int, p: int, budget: int = DEFAULT_BRUTE_BUDGET) -> list[HeisenbergElement]:
-    return [HeisenbergElement.from_coords(n, p, c) for c in _all_coords(n, p, budget)]
 
 
 def max_abelian_order(elements: Sequence, mul: Callable) -> int:

@@ -20,12 +20,13 @@ When k <= n the family is verified by exhaustive subspace enumeration.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .primes import is_prime
 from .symplectic import (
     DEFAULT_SUBSPACE_BUDGET,
+    MAX_FORM_FAMILY_ENTRIES,
     BudgetExceeded,
     Matrix,
     SymplecticForm,
@@ -48,8 +49,7 @@ def isotropy_free_dimension(n: int, r: int) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class LambdaRow:
+class LambdaRow(NamedTuple):
     """One (n, r) entry of the abelian-fraction bound table.
 
     ``bound`` = abelian_exponent / order_exponent bounds
@@ -95,7 +95,6 @@ def lambda_row(n: int, r: int, k: int | None = None) -> LambdaRow:
     )
 
 
-@dataclass
 class ProductSubgroupSpec:
     """A family of matrices defining the product subgroup, its forms, and its verification state.
 
@@ -103,34 +102,40 @@ class ProductSubgroupSpec:
     they are derived here rather than passed in.  For a square A and an
     invertible M, A^T M A is invertible exactly when A is, so the rank
     check each pulled-back form runs is also the invertibility check of
-    its matrix.
+    its matrix.  ``certified`` and ``transcript`` are filled in by the
+    search; the rest is fixed at construction.
     """
 
-    n: int
-    p: int
-    r: int
-    k: int
-    mats: tuple[Matrix, ...]
-    certified: bool
-    transcript: dict = field(default_factory=dict)
-    forms: tuple[SymplecticForm, ...] = field(init=False)
+    __slots__ = ("n", "p", "r", "k", "mats", "certified", "transcript", "forms")
 
-    def __post_init__(self) -> None:
-        if len(self.mats) != self.r:
+    def __init__(
+        self,
+        n: int,
+        p: int,
+        r: int,
+        k: int,
+        mats: tuple[Matrix, ...],
+        certified: bool,
+        transcript: dict | None = None,
+    ) -> None:
+        if len(mats) != r:
             raise ValueError("need exactly r matrices")
-        if not 4 * self.n < self.r * (self.k - 1):
-            raise ValueError(f"k={self.k} violates 4n < r(k-1) at n={self.n}, r={self.r}")
-        dim = 2 * self.n
-        standard = SymplecticForm.standard(self.n, self.p)
+        if not 4 * n < r * (k - 1):
+            raise ValueError(f"k={k} violates 4n < r(k-1) at n={n}, r={r}")
+        dim = 2 * n
+        standard = SymplecticForm.standard(n, p)
         forms = []
-        for j, a in enumerate(self.mats, start=1):
+        for j, a in enumerate(mats, start=1):
             # pullback zips columns, so a wrong shape would be truncated, not refused.
             if len(a) != dim or any(len(row) != dim for row in a):
                 raise ValueError(f"A_{j} is not {dim} x {dim}")
             try:
                 forms.append(standard.pullback(a))
             except ValueError:
-                raise ValueError(f"A_{j} is not invertible mod {self.p}") from None
+                raise ValueError(f"A_{j} is not invertible mod {p}") from None
+        self.n, self.p, self.r, self.k, self.mats = n, p, r, k, mats
+        self.certified = certified
+        self.transcript = {} if transcript is None else transcript
         self.forms = tuple(forms)
 
     @property
@@ -161,11 +166,12 @@ def olshanskii_search(
     When k > n the first family drawn is certified by nondegeneracy, no
     subspace is enumerated and the budget does not apply; otherwise
     certification is by exhaustive enumeration, refused up front when
-    the Gaussian binomial exceeds the budget.  If no family
-    passes within the attempt budget the result comes back uncertified,
-    with the transcript recording every attempt; existence for small
-    parameters is not guaranteed, so honest exhaustion is a valid
-    outcome.
+    the Gaussian binomial exceeds the budget.  A family of more than
+    MAX_FORM_FAMILY_ENTRIES matrix entries is refused before any matrix
+    is drawn.  If no family passes within the attempt budget the result
+    comes back uncertified, with the transcript recording every attempt;
+    existence for small parameters is not guaranteed, so honest
+    exhaustion is a valid outcome.
     """
     if r < 2:
         raise ValueError("r must be at least 2 (the single-factor case uses the plain group bound)")
@@ -173,6 +179,10 @@ def olshanskii_search(
         raise ValueError("n must be at least 1")
     if attempts < 1:
         raise ValueError("attempts must be at least 1")
+    if r * (2 * n) ** 2 > MAX_FORM_FAMILY_ENTRIES:
+        raise ValueError(
+            f"r * (2n)^2 matrix entries at n={n}, r={r} exceeds the limit {MAX_FORM_FAMILY_ENTRIES}"
+        )
     if p % 2 == 0 or not is_prime(p):
         raise ValueError(f"p={p} is not an odd prime")
     k = isotropy_free_dimension(n, r)
@@ -195,8 +205,7 @@ def olshanskii_search(
     return spec
 
 
-@dataclass(frozen=True)
-class ProductBound:
+class ProductBound(NamedTuple):
     order_exponent: int
     abelian_exponent: int
     exact_abelian_exponent: int | None

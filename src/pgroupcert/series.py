@@ -13,7 +13,6 @@ is delta^2/2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 from typing import Iterable, Sequence
@@ -138,7 +137,6 @@ def assert_chern_series(series: OmegaSeries, context: str) -> None:
         )
 
 
-@dataclass
 class BundleDescriptor:
     """Rank and total Chern class of one of the construction bundles.
 
@@ -147,15 +145,16 @@ class BundleDescriptor:
     the p-power self-map of the torus), ``direct-sum``.
     """
 
-    label: str
-    rank: int
-    chern: OmegaSeries
-    params: dict = field(default_factory=dict)
+    __slots__ = ("label", "rank", "chern", "params")
 
-    def __post_init__(self) -> None:
-        if self.rank < 1:
+    def __init__(self, label: str, rank: int, chern: OmegaSeries, params: dict | None = None) -> None:
+        if rank < 1:
             raise ValueError("rank must be at least 1")
-        assert_chern_series(self.chern, f"{self.label} bundle")
+        assert_chern_series(chern, f"{label} bundle")
+        self.label = label
+        self.rank = rank
+        self.chern = chern
+        self.params = {} if params is None else params
 
     @property
     def n(self) -> int:

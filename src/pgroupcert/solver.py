@@ -20,10 +20,10 @@ check, so an independent checker can re-derive everything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
+from typing import NamedTuple
 
 from . import certdoc, primes
 from .exterior import MAX_SYMMETRIZATION_N, atilde_table, omega_power_table
@@ -66,8 +66,7 @@ def _is_prime(p: int) -> bool:
 # -- roots of unity --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RootFamily:
+class RootFamily(NamedTuple):
     """The n+1 solutions of alpha^(n+1) = 1 in (Z/p^n)*, with integer lifts."""
 
     n: int
@@ -214,8 +213,7 @@ def elementary_symmetric(values: list[int]) -> list[int]:
     return coeffs[1:]
 
 
-@dataclass(frozen=True)
-class DeltaSolution:
+class DeltaSolution(NamedTuple):
     delta: tuple[int, ...]
     b: tuple[int, ...]
     s: tuple[int, ...]
@@ -310,8 +308,7 @@ CITED_ASSUMPTIONS = (
 )
 
 
-@dataclass
-class ConstructionCertificate:
+class ConstructionCertificate(NamedTuple):
     n: int
     r: int
     p: int
@@ -334,7 +331,7 @@ class ConstructionCertificate:
     abelian_bound_conditional: bool
     lambda_gamma: Fraction
     checks: dict[str, bool]
-    notes: list[str] = field(default_factory=list)
+    notes: list[str]
     assumptions: tuple[str, ...] = CITED_ASSUMPTIONS
 
     @property

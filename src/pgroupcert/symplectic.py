@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 Row = tuple[int, ...]
 Matrix = tuple[Row, ...]
@@ -38,12 +37,29 @@ Matrix = tuple[Row, ...]
 #: Default ceiling on how many subspaces an exhaustive enumeration may visit.
 DEFAULT_SUBSPACE_BUDGET = 10**7
 
+#: Most matrix entries, r * (2n)^2, a form family may have; its producer
+#: refuses a larger family before drawing a matrix, and its verifier before
+#: reading one.
+MAX_FORM_FAMILY_ENTRIES = 65_536
+
+#: Largest bit length a count is written in decimal for: 14,000 bits are at
+#: most 4,215 digits, inside CPython's default limit of 4,300 on int/str
+#: conversion.  A larger count is described by its bit length.
+_DECIMAL_BITS = 14_000
+
+
+def _describe_count(value: int) -> str:
+    bits = value.bit_length()
+    return str(value) if bits <= _DECIMAL_BITS else f"at least 2^{bits - 1}"
+
 
 class BudgetExceeded(RuntimeError):
     """An exhaustive enumeration would visit more objects than the budget allows."""
 
     def __init__(self, needed: int, budget: int, what: str = "subspaces"):
-        super().__init__(f"enumeration needs {needed} {what}, budget is {budget}")
+        super().__init__(
+            f"enumeration needs {_describe_count(needed)} {what}, budget is {_describe_count(budget)}"
+        )
         self.needed = needed
         self.budget = budget
 
@@ -95,28 +111,35 @@ def random_invertible(dim: int, p: int, rng: random.Random) -> Matrix:
             return _as_matrix(candidate, p)
 
 
-@dataclass(frozen=True)
-class SymplecticForm:
-    """A nondegenerate antisymmetric bilinear form on F_p^(2n), given by its Gram matrix."""
-
+class _FormFields(NamedTuple):
     p: int
     matrix: Matrix
 
-    def __post_init__(self) -> None:
-        m = self.matrix
-        dim = len(m)
-        if dim == 0 or any(len(row) != dim for row in m):
+
+class SymplecticForm(_FormFields):
+    """A nondegenerate antisymmetric bilinear form on F_p^(2n), given by its Gram matrix.
+
+    An immutable (p, matrix) record, compared and hashed by value; the
+    constructor refuses a matrix that is not such a form.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, matrix: Matrix) -> "SymplecticForm":
+        dim = len(matrix)
+        if dim == 0 or any(len(row) != dim for row in matrix):
             raise ValueError("form matrix must be square")
         if dim % 2:
             raise ValueError("symplectic forms need even dimension")
         for i in range(dim):
-            if m[i][i] % self.p:
+            if matrix[i][i] % p:
                 raise ValueError(f"nonzero diagonal entry at {i}")
             for j in range(dim):
-                if (m[i][j] + m[j][i]) % self.p:
+                if (matrix[i][j] + matrix[j][i]) % p:
                     raise ValueError(f"matrix is not antisymmetric at ({i},{j})")
-        if rank_mod_p(m, self.p) != dim:
+        if rank_mod_p(matrix, p) != dim:
             raise ValueError("form is degenerate")
+        return super().__new__(cls, p, matrix)
 
     @property
     def dim(self) -> int:
@@ -145,7 +168,7 @@ class SymplecticForm:
 
 @lru_cache(maxsize=64)
 def _standard_form(n: int, p: int) -> SymplecticForm:
-    # SymplecticForm is frozen, so every caller can share one checked instance.
+    # A SymplecticForm is immutable, so every caller can share one checked instance.
     m = [[0] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
         m[i][n + i] = 1
@@ -153,33 +176,41 @@ def _standard_form(n: int, p: int) -> SymplecticForm:
     return SymplecticForm(p, _as_matrix(m, p))
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """A subspace of F_p^m in reduced row echelon form (unique per subspace)."""
-
+class _SubspaceFields(NamedTuple):
     p: int
     basis: Matrix
 
-    def __post_init__(self) -> None:
+
+class Subspace(_SubspaceFields):
+    """A subspace of F_p^m in reduced row echelon form (unique per subspace).
+
+    An immutable (p, basis) record, compared and hashed by value, so equal
+    subspaces are equal records.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, basis: Matrix) -> "Subspace":
         # The reduced echelon shape, read off directly: entries in range(p),
         # each row led by a 1 right of the previous row's leading 1, and each
         # pivot column zero outside its own row.
-        width = self.ambient
+        width = len(basis[0]) if basis else 0
         pivots: list[int] = []
-        for row in self.basis:
+        for row in basis:
             lead = next((j for j, x in enumerate(row) if x), None)
             if (
                 len(row) != width
-                or not all(x in range(self.p) for x in row)
+                or not all(x in range(p) for x in row)
                 or lead is None
                 or row[lead] != 1
                 or (pivots and lead <= pivots[-1])
             ):
                 raise ValueError("basis is not in reduced row echelon form")
             pivots.append(lead)
-        for i, row in enumerate(self.basis):
+        for i, row in enumerate(basis):
             if any(row[c] for j, c in enumerate(pivots) if j != i):
                 raise ValueError("basis is not in reduced row echelon form")
+        return super().__new__(cls, p, basis)
 
     @property
     def dim(self) -> int:

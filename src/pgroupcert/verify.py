@@ -24,10 +24,9 @@ claims, and is refused when its m^2 product table would be too large.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
-from typing import Any
+from typing import Any, NamedTuple
 
 from . import primes
 from .certdoc import (
@@ -45,6 +44,7 @@ from .groups import DEFAULT_BRUTE_BUDGET, MAX_GROUP_N, brute_force_lambda, max_a
 from .series import OmegaSeries
 from .symplectic import (
     DEFAULT_SUBSPACE_BUDGET,
+    MAX_FORM_FAMILY_ENTRIES,
     BudgetExceeded,
     SymplecticForm,
     enumerate_isotropic,
@@ -52,15 +52,13 @@ from .symplectic import (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     kind: str
     results: list[CheckResult]
 
@@ -411,14 +409,15 @@ def _verify_olshanskii(cert: dict, digest_ok: bool, budget: int, out: list[Check
     form_matrices = [decode_matrix(f) for f in cert["forms"]]
     certified = bool(cert["certified"])
 
-    # This bounds every size below by the document's own: n by the stored
-    # matrices, which must be 2n x 2n, and p by the primality test's range.
-    # The number of stored forms is left to form_congruence, which needs
-    # them to be exactly the r pullbacks.
+    # This bounds every size below: the family by MAX_FORM_FAMILY_ENTRIES,
+    # n by the stored matrices, which must be 2n x 2n, and p by the
+    # primality test's range.  The number of stored forms is left to
+    # form_congruence, which needs them to be exactly the r pullbacks.
     dim = 2 * n
     params_ok = (
         n >= 1
         and r >= 2
+        and r * dim * dim <= MAX_FORM_FAMILY_ENTRIES
         and primes.is_odd_prime(p)
         and len(mats) == r
         and all(len(m) == dim and all(len(row) == dim for row in m) for m in mats + form_matrices)
@@ -427,7 +426,8 @@ def _verify_olshanskii(cert: dict, digest_ok: bool, budget: int, out: list[Check
         _check(
             "params",
             params_ok,
-            f"bad parameters n={n}, r={r}, p={p} (need n >= 1, r >= 2, an odd prime p, "
+            f"bad parameters n={n}, r={r}, p={p} (need n >= 1, r >= 2, at most "
+            f"{MAX_FORM_FAMILY_ENTRIES} matrix entries r * (2n)^2, an odd prime p, "
             f"r matrices, and every stored matrix and form 2n x 2n)",
         )
     )

@@ -2,7 +2,7 @@
 
 The library bounds product subgroups through their form families and
 never builds their elements.  This module builds them, through
-HeisenbergElement and its group law only, so the tests can check the
+group_oracle's HeisenbergElement and its group law only, so the tests can check the
 commutation criterion and the exact abelian bound against the group
 itself.
 """
@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Sequence
 
-from pgroupcert.groups import HeisenbergElement
+from group_oracle import HeisenbergElement
 from pgroupcert.products import ProductSubgroupSpec
 from pgroupcert.symplectic import BudgetExceeded
 

@@ -14,14 +14,10 @@ from fractions import Fraction
 import pytest
 
 from exterior_oracle import omega
+from group_oracle import enumerate_group, gen_f
 from pgroupcert import certdoc
 from pgroupcert.exterior import omega_power_table
-from pgroupcert.groups import (
-    brute_force_lambda,
-    enumerate_group,
-    gen_f,
-    max_abelian_exponent,
-)
+from pgroupcert.groups import brute_force_lambda, max_abelian_exponent
 from pgroupcert.products import olshanskii_search, product_subgroup_bound
 from pgroupcert.series import OmegaSeries
 from pgroupcert.solver import certify, compute_M, elementary_symmetric, find_prime, rank_formula

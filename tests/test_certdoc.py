@@ -34,6 +34,33 @@ def test_int_decoding_rejects_junk():
         certdoc.decode_int(1.5)
 
 
+def test_int_encoding_is_hex_past_the_digit_limit():
+    edge = 10**certdoc.MAX_INT_DIGITS
+    for value in (edge - 1, -(edge - 1)):
+        encoded = certdoc.encode_int(value)
+        assert "x" not in encoded and len(encoded.lstrip("-")) == certdoc.MAX_INT_DIGITS
+        assert certdoc.decode_int(encoded) == value
+    for value in (edge, -edge, 7**20_000):
+        encoded = certdoc.encode_int(value)
+        assert encoded == hex(value)
+        assert certdoc.decode_int(encoded) == value
+    frac = Fraction(edge + 1, 3)
+    assert certdoc.encode_fraction(frac) == {"num": hex(edge + 1), "den": "3"}
+    assert certdoc.decode_fraction(certdoc.encode_fraction(frac)) == frac
+    assert certdoc.decode_fraction(certdoc.encode_fraction(1 / frac)) == 1 / frac
+
+
+def test_oversize_hex_integer_is_a_parse_error():
+    digits = certdoc.MAX_HEX_DIGITS
+    assert certdoc.decode_int("0x" + "f" * digits) == 16**digits - 1
+    assert certdoc.decode_int("-0x" + "f" * digits) == 1 - 16**digits
+    for text in ("0x" + "f" * (digits + 1), "-0x" + "1" * (digits + 1)):
+        with pytest.raises(certdoc.ParseError, match="exceeds the limit"):
+            certdoc.decode_int(text)
+    with pytest.raises(certdoc.ParseError):
+        certdoc.decode_int("0xfg")
+
+
 def test_fraction_round_trip():
     for value in (Fraction(2, 3), Fraction(-355348, 1), Fraction(10**20, 3)):
         assert certdoc.decode_fraction(certdoc.encode_fraction(value)) == value

@@ -12,10 +12,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from pgroupcert import certdoc, solver
+from pgroupcert import certdoc, products, solver
 from pgroupcert.cli import main
 from pgroupcert.exterior import MAX_SYMMETRIZATION_N
 from pgroupcert.groups import MAX_GROUP_N
+from pgroupcert.symplectic import MAX_FORM_FAMILY_ENTRIES
 
 
 class _Runner:
@@ -287,6 +288,39 @@ def test_olshanskii_at_a_large_prime(runner, tmp_path):
     result = runner.invoke(main, ["olshanskii", "--n", "1", "--r", "5", "--p", "2147483659", "--out", str(out)])
     assert result.exit_code == 0, result.output
     assert runner.invoke(main, ["verify", str(out)]).exit_code == 0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # gb(44, 22, p) has 4357 digits: the exact bound's BudgetExceeded used to fail to format it.
+        ["--n", "22", "--r", "2", "--p", "1000000007"],
+        # gb(32, 23, p) has 4969 digits: the transcript records it in hex.
+        ["--n", "16", "--r", "3", "--p", "1000000000000000000000007"],
+    ],
+)
+def test_olshanskii_counts_past_the_digit_limit(runner, tmp_path, args):
+    out = tmp_path / "family.json"
+    result = runner.invoke(main, ["olshanskii", *args, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    verify_result = runner.invoke(main, ["verify", str(out)])
+    assert verify_result.exit_code == 0, verify_result.output
+
+
+def test_olshanskii_over_the_size_limit_is_a_usage_error(runner, monkeypatch):
+    # --n 2 --r 1000000 used to grow past 900 MB before writing a byte.
+    def refuse(*args):
+        raise AssertionError("a matrix was drawn")
+
+    monkeypatch.setattr(products, "random_invertible", refuse)
+    n = 1
+    r = MAX_FORM_FAMILY_ENTRIES // (2 * n) ** 2
+    result = runner.invoke(main, ["olshanskii", "--n", str(n), "--r", str(r + 1), "--p", "3"])
+    assert result.exit_code == 2, result.output
+    assert result.output.count("usage:") == 1
+    assert "exceeds the limit" in result.output
+    with pytest.raises(AssertionError, match="a matrix was drawn"):
+        runner.invoke(main, ["olshanskii", "--n", str(n), "--r", str(r), "--p", "3"])
 
 
 @pytest.mark.parametrize("args", [["--p", "3", "--attempts", "0"], ["--p", "1"], ["--p", "2"], ["--p", "9"]])

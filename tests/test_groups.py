@@ -7,17 +7,12 @@ from fractions import Fraction
 
 import pytest
 
+from group_oracle import HeisenbergElement, enumerate_group, gen_a, gen_b, gen_f, identity
 from pgroupcert import groups
 from pgroupcert.groups import (
-    HeisenbergElement,
     brute_force_lambda,
-    enumerate_group,
-    gen_a,
-    gen_b,
-    gen_f,
     group_law,
     group_order,
-    identity,
     max_abelian_exponent,
     max_abelian_order,
 )

@@ -14,8 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 # Every name the package exports; README and the demos import from here.
 EXPORTED = {
     "OmegaPowerRow", "a_table", "atilde_table", "omega_power_table", "symmetrization_coefficients",
-    "HeisenbergElement", "brute_force_lambda", "enumerate_group", "gen_a", "gen_b", "gen_f",
-    "group_order", "identity", "max_abelian_exponent", "max_abelian_order",
+    "brute_force_lambda", "group_order", "max_abelian_exponent", "max_abelian_order",
     "ProductBound", "ProductSubgroupSpec", "isotropy_free_dimension", "olshanskii_search",
     "product_subgroup_bound",
     "BundleDescriptor", "OmegaSeries", "chern_F", "chern_G", "direct_sum", "line_power_chern",
@@ -43,6 +42,21 @@ def test_export_is_the_object_its_module_defines(name):
     assert name in dir(pgroupcert)
 
 
+# Test-only API that moved to tests/group_oracle.py.
+MOVED_TO_GROUP_ORACLE = ["HeisenbergElement", "enumerate_group", "gen_a", "gen_b", "gen_f", "identity"]
+
+
+@pytest.mark.parametrize("name", MOVED_TO_GROUP_ORACLE)
+def test_test_only_name_left_the_package(name):
+    import group_oracle
+    from pgroupcert import groups
+
+    assert callable(getattr(group_oracle, name))
+    assert not hasattr(groups, name)
+    with pytest.raises(AttributeError):
+        getattr(pgroupcert, name)
+
+
 def test_star_import_and_unknown_names():
     namespace: dict = {}
     exec("from pgroupcert import *", namespace)
@@ -53,10 +67,10 @@ def test_star_import_and_unknown_names():
         exec("from pgroupcert import no_such_name", {})
 
 
-def _loaded_after(statement: str) -> set[str]:
-    """The pgroupcert modules a fresh interpreter holds after running ``statement``."""
+def _loaded_after(statement: str, prefix: str = "pgroupcert") -> set[str]:
+    """The modules named ``prefix``... a fresh interpreter holds after running ``statement``."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    code = f"{statement}\nimport sys\nprint(' '.join(m for m in sys.modules if m.startswith('pgroupcert')))"
+    code = f"{statement}\nimport sys\nprint(' '.join(m for m in sys.modules if m.startswith({prefix!r})))"
     result = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     return set(result.stdout.split())
@@ -83,3 +97,28 @@ def test_cli_loads_every_traced_module_at_start():
         sys.path.remove(str(ROOT / "perfbench"))
     traced = {target.module for target in layers.TARGETS}
     assert traced <= _loaded_after("import pgroupcert.cli")
+
+
+def test_cli_loads_neither_dataclasses_nor_inspect():
+    # Importing dataclasses pulls in inspect, ast, dis and tokenize, and each
+    # @dataclass generates and execs its methods: milliseconds per CLI process.
+    loaded = _loaded_after("import pgroupcert.cli", prefix="")
+    assert not loaded & {"dataclasses", "inspect"}
+
+
+def test_records_are_read_only():
+    from pgroupcert.products import lambda_row
+    from pgroupcert.symplectic import Subspace, SymplecticForm
+    from pgroupcert.verify import CheckResult
+
+    records = [
+        (SymplecticForm.standard(1, 3), "matrix"),
+        (Subspace.from_vectors(3, [(1, 2, 0, 1)]), "basis"),
+        (lambda_row(2, 3), "bound"),
+        (CheckResult("params", True), "passed"),
+    ]
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.extra = 1

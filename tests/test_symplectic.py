@@ -60,7 +60,8 @@ def test_rref_canonical():
 def test_subspace_uniqueness():
     s1 = Subspace.from_vectors(3, [(1, 1, 0, 0), (0, 0, 1, 2)])
     s2 = Subspace.from_vectors(3, [(1, 1, 1, 2), (2, 2, 1, 2)])
-    assert s1 == s2
+    assert s1 == s2 and hash(s1) == hash(s2)
+    assert len({s1, s2, Subspace.from_vectors(3, [(1, 0, 0, 0)])}) == 2
     with pytest.raises(ValueError):
         Subspace(3, ((2, 0, 0, 0),))  # not reduced
 
@@ -118,6 +119,14 @@ def test_budget_guard():
     form = SymplecticForm.standard(4, 3)
     with pytest.raises(BudgetExceeded):
         enumerate_isotropic([form], 4, budget=1000)
+
+
+def test_budget_error_describes_a_huge_count_by_its_bit_length():
+    # 3^10000 has 4772 digits, past CPython's limit on int-to-decimal conversion.
+    exc = BudgetExceeded(3**10_000, 10**7)
+    assert str(exc) == "enumeration needs at least 2^15849 subspaces, budget is 10000000"
+    assert exc.needed == 3**10_000
+    assert str(BudgetExceeded(896260, 1000)) == "enumeration needs 896260 subspaces, budget is 1000"
 
 
 def test_random_invertible_is_invertible():

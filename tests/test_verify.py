@@ -12,7 +12,13 @@ from pgroupcert.exterior import MAX_SYMMETRIZATION_N
 from pgroupcert.groups import BRUTE_WORK_BUDGET, MAX_GROUP_N, brute_force_lambda, group_order, max_abelian_exponent
 from pgroupcert.products import ProductSubgroupSpec, identity_matrix, olshanskii_search, product_subgroup_bound
 from pgroupcert.solver import certify, compute_M, epsilon_witness, find_prime, lambda_table
-from pgroupcert.symplectic import BudgetExceeded, SymplecticForm, enumerate_isotropic, random_invertible
+from pgroupcert.symplectic import (
+    MAX_FORM_FAMILY_ENTRIES,
+    BudgetExceeded,
+    SymplecticForm,
+    enumerate_isotropic,
+    random_invertible,
+)
 from pgroupcert.verify import verify_document
 
 
@@ -319,6 +325,25 @@ def test_olshanskii_params_are_rejected_before_any_arithmetic(monkeypatch, edit)
     start = time.perf_counter()
     report = verify_document(fix_digest(doc))
     assert time.perf_counter() - start < 1.0
+    assert report.results[0].passed
+    assert [result.name for result in report.failures()] == ["params"]
+
+
+def _identity_family_doc(r):
+    """A (1, r, 3) family of identity matrices, consistent in every field but its size."""
+    doc = json.loads(json.dumps(olshanskii_doc(1, 2, 3)))
+    cert = doc["certificate"]
+    identity, standard = cert["mats"][0], cert["forms"][0]
+    cert.update(r=r, k=2, mats=[identity] * r, forms=[standard] * r, order_exponent=r + 2, abelian_exponent=r + 2)
+    del cert["bound"]
+    return fix_digest(doc)
+
+
+def test_olshanskii_family_size_is_bounded():
+    r = MAX_FORM_FAMILY_ENTRIES // 4
+    report = verify_document(_identity_family_doc(r))
+    assert report.ok, report.failures()
+    report = verify_document(_identity_family_doc(r + 1))
     assert report.results[0].passed
     assert [result.name for result in report.failures()] == ["params"]
 
