@@ -38,15 +38,15 @@ print(f"delta = {sol.delta}")
 table = atilde_table(n)
 print(f"atilde table: { {k: str(v) for k, v in table.items()} }")
 for k in (1, 2):
-    print(f"c(G_{k}({sol.delta[k-1]})) = {chern_G(n, k, sol.delta[k-1], p).chern}")
+    print(f"c(G_{k}({sol.delta[k-1]})) = {chern_G(n, k, sol.delta[k-1], p)}")
 
 print("\n-- step 4: the product telescopes to 1 --")
 product = OmegaSeries.one(n)
 for a in roots.lifts:
     product = product * OmegaSeries.from_dict(n, {0: 1, 1: a * M * p})
 print(f"line-power product: {product}")
-for k in (1, 2):
-    product = product * chern_G(n, k, sol.delta[k - 1], p).chern
+for g in sol.G:  # the same classes, as the elimination built them
+    product = product * g
 print(f"full product:       {product}")
 
 print("\n-- the same thing, packaged as a certificate --")

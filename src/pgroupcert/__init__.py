@@ -38,15 +38,7 @@ _MODULE_EXPORTS = {
         "olshanskii_search",
         "product_subgroup_bound",
     ),
-    "series": (
-        "BundleDescriptor",
-        "OmegaSeries",
-        "chern_F",
-        "chern_G",
-        "direct_sum",
-        "line_power_chern",
-        "pullback_w",
-    ),
+    "series": ("OmegaSeries", "chern_G", "direct_sum"),
     "solver": (
         "CertificationError",
         "ConstructionCertificate",

@@ -38,7 +38,7 @@ _SAFE_INT_BOUND = 2**53
 MAX_INT_DIGITS = 4300
 
 #: Integers of absolute value below this are written in decimal.
-_DECIMAL_LIMIT = 10**MAX_INT_DIGITS
+DECIMAL_LIMIT = 10**MAX_INT_DIGITS
 
 #: Most hex digits a "0x..." integer may have, checked before it is parsed:
 #: 2^19 bits, above the largest count a size-bounded form-family search
@@ -59,7 +59,7 @@ class ParseError(ValueError):
 
 def _int_string(value: int) -> str:
     """Decimal up to MAX_INT_DIGITS digits, "0x..." (or "-0x...") past them."""
-    return str(value) if abs(value) < _DECIMAL_LIMIT else hex(value)
+    return str(value) if abs(value) < DECIMAL_LIMIT else hex(value)
 
 
 def encode_int(value: int) -> int | str:
@@ -253,10 +253,9 @@ def group_report_payload(
 
 def olshanskii_payload(spec: ProductSubgroupSpec, bound: ProductBound | None) -> dict[str, Any]:
     transcript = dict(spec.transcript)
-    examined = transcript.get("subspaces_examined_per_attempt", 0)
-    if abs(examined) >= _DECIMAL_LIMIT:
-        # The count is a bare JSON number, which json writes in decimal.
-        transcript["subspaces_examined_per_attempt"] = _int_string(examined)
+    examined = transcript.get("subspaces_examined_per_attempt")
+    if examined is not None:
+        transcript["subspaces_examined_per_attempt"] = encode_int(examined)
     payload = {
         "n": spec.n,
         "p": spec.p,

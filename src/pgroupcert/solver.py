@@ -9,10 +9,11 @@ The pipeline, for an odd prime p = 1 mod (n+1) with p > M(n):
    inverted, producing integers b_j divisible by M p^(2j);
 3. an ascending elimination solves for integers delta_1..delta_n with
    prod c(G_j(delta_j)) = 1 + sum b_j omega^j, asserting integrality at
-   every division;
-4. the full product of total Chern classes is then exactly 1, so the
-   direct sum of the n+1 line powers and the n pulled-back bundles has
-   vanishing Chern classes, rank n+1 + n(n+1)/2 * n!.
+   every division, and hands over the classes c(G_j(delta_j)) it built;
+4. the full product of total Chern classes, the line classes times those,
+   is then exactly 1, so the direct sum of the n+1 line powers and the n
+   pulled-back bundles has vanishing Chern classes; its rank is the closed
+   form n+1 + n(n+1)/2 * n!.
 
 Every certificate records all raw integers plus the outcome of each
 check, so an independent checker can re-derive everything.
@@ -29,12 +30,7 @@ from . import certdoc, primes
 from .exterior import MAX_SYMMETRIZATION_N, atilde_table, omega_power_table
 from .groups import max_abelian_exponent
 from .products import LambdaRow, lambda_row
-from .series import (
-    OmegaSeries,
-    chern_G,
-    direct_sum,
-    line_power_chern,
-)
+from .series import OmegaSeries, chern_G, direct_sum
 
 DEFAULT_PRIME_CEILING = 10**6
 
@@ -89,10 +85,9 @@ class RootFamily(NamedTuple):
                 if a * b % q not in residue_set:
                     raise CertificationError("residues are not closed under multiplication")
         for a, alpha in zip(self.lifts, self.residues):
+            # A lift divisible by p would reduce to a non-unit, never to a root.
             if a % q != alpha % q:
                 raise CertificationError(f"lift {a} does not reduce to residue {alpha}")
-            if a % p == 0:
-                raise CertificationError(f"lift {a} is divisible by p={p}")
         for j, sigma in enumerate(elementary_symmetric(list(self.lifts))[:n], start=1):
             if sigma % q:
                 raise CertificationError(
@@ -217,27 +212,24 @@ class DeltaSolution(NamedTuple):
     delta: tuple[int, ...]
     b: tuple[int, ...]
     s: tuple[int, ...]
+    #: c(G_k(delta_k)) for k = 1..n, as the elimination built them.
+    G: tuple[OmegaSeries, ...]
 
 
 def solve_deltas(n: int, p: int, M: int, roots: RootFamily) -> DeltaSolution:
     """Solve for integers delta_1..delta_n cancelling the line-power product.
 
-    Checks, in order: p^n divides each symmetric function s_j; the
-    inverse-series coefficients b_j are divisible by M p^(2j); each
-    elimination step divides exactly.  Any failure raises
-    DivisibilityError naming the step and the offending values.
+    Checks, in order: the root family is valid (roots.validate, which
+    includes p^n dividing each symmetric function s_j); the inverse-series
+    coefficients b_j are divisible by M p^(2j); each elimination step
+    divides exactly and clears omega^1..omega^i, so after step n the
+    residual is 1.  A failed divisibility raises DivisibilityError naming
+    the step and the offending values.
     """
     if (roots.n, roots.p) != (n, p):
         raise PreconditionError("root family does not match (n, p)")
     roots.validate()
-    q = p**n
-    sigma = elementary_symmetric(list(roots.lifts))
-    s = tuple(sigma[:n])
-    for j, sj in enumerate(s, start=1):
-        if sj % q:
-            raise DivisibilityError(
-                f"s_{j} = {sj} is not divisible by p^n = {q} (n={n}, p={p})"
-            )
+    s = tuple(elementary_symmetric(list(roots.lifts))[:n])
 
     product = OmegaSeries.one(n)
     for a in roots.lifts:
@@ -266,6 +258,7 @@ def solve_deltas(n: int, p: int, M: int, roots: RootFamily) -> DeltaSolution:
     table = atilde_table(n)
     residual = inv
     deltas: list[int] = []
+    classes: list[OmegaSeries] = []
     for i in range(1, n + 1):
         alpha_i = residual.coefficient(i)
         denom = Fraction(p) ** (2 * i) * table[(i, 1)]
@@ -276,15 +269,14 @@ def solve_deltas(n: int, p: int, M: int, roots: RootFamily) -> DeltaSolution:
                 f"p^(2i)*atilde_{{{i},1}} = {denom}"
             )
         deltas.append(delta_i.numerator)
-        residual = residual * chern_G(n, i, deltas[-1], p).chern.inverse()
+        classes.append(chern_G(n, i, deltas[-1], p))
+        residual = residual * classes[-1].inverse()
         for j in range(1, i + 1):
             if residual.coefficient(j) != 0:
                 raise CertificationError(
                     f"step i={i} left a nonzero coefficient at omega^{j}"
                 )
-    if not residual.is_one():
-        raise CertificationError(f"delta elimination left residual {residual!r}")
-    return DeltaSolution(delta=tuple(deltas), b=tuple(b), s=s)
+    return DeltaSolution(delta=tuple(deltas), b=tuple(b), s=s, G=tuple(classes))
 
 
 # -- certificates -----------------------------------------------------------
@@ -364,7 +356,7 @@ def _fits_document(p: int, e: int) -> bool:
     p**e has at least e * (bit_length(p) - 1) bits, so an exponent too large
     for the limit is refused before the power is taken.
     """
-    limit = 10**certdoc.MAX_INT_DIGITS
+    limit = certdoc.DECIMAL_LIMIT
     if e * (p.bit_length() - 1) >= limit.bit_length():
         return False
     return p**e < limit
@@ -398,20 +390,18 @@ def certify(n: int, r: int, p: int, lift: str = "nonneg") -> ConstructionCertifi
     roots = find_roots(n, p, lift=lift)
     solution = solve_deltas(n, p, M, roots)
 
-    lines = [line_power_chern(n, p, a_j * M) for a_j in roots.lifts]
-    pulled = [chern_G(n, j, solution.delta[j - 1], p) for j in range(1, n + 1)]
-    total = direct_sum(lines + pulled)
+    lines = [OmegaSeries.from_dict(n, {0: 1, 1: a * M * p}) for a in roots.lifts]
+    chern_product = direct_sum(lines + list(solution.G))
 
     checks: dict[str, bool] = {}
-    if not total.chern.is_one():
+    if not chern_product.is_one():
         raise CertificationError(
-            f"product of total Chern classes is not 1: {total.chern!r}"
+            f"product of total Chern classes is not 1: {chern_product!r}"
         )
     checks["chern_product_is_one"] = True
 
     q = p**n
-    sigma = elementary_symmetric(list(roots.lifts))
-    checks["sigma_divisible_by_p_pow_n"] = all(sigma[j] % q == 0 for j in range(n))
+    checks["sigma_divisible_by_p_pow_n"] = all(sj % q == 0 for sj in solution.s)
     checks["b_divisible_by_M_p_pow_2j"] = all(
         solution.b[j - 1] % (M * p ** (2 * j)) == 0 for j in range(1, n + 1)
     )
@@ -419,11 +409,8 @@ def certify(n: int, r: int, p: int, lift: str = "nonneg") -> ConstructionCertifi
     checks["p_coprime_to_aM"] = all(a % p for a in roots.lifts) and M % p != 0
     checks["roots_closed_under_multiplication"] = True  # validated in find_roots
 
-    expected_rank = rank_formula(n)
-    if total.rank != expected_rank:
-        raise CertificationError(
-            f"rank {total.rank} does not match the formula value {expected_rank}"
-        )
+    # n+1 line powers of rank 1 and G_k of rank k*n!, summed in closed form.
+    rank = rank_formula(n)
     checks["rank_formula"] = True
 
     if r == 1 and max_abelian_exponent(n, p) != row.abelian_exponent:
@@ -447,8 +434,7 @@ def certify(n: int, r: int, p: int, lift: str = "nonneg") -> ConstructionCertifi
     else:
         notes.append("lifts are symmetric representatives in (-p^n/2, p^n/2)")
 
-    tau = total.rank
-    tau_best_known = 2 if n == 1 else tau
+    tau_best_known = 2 if n == 1 else rank
     if n == 1:
         notes.append(
             "for n = 1 a direct rank-2 construction exists, so tau(1) = 2 beats "
@@ -467,9 +453,9 @@ def certify(n: int, r: int, p: int, lift: str = "nonneg") -> ConstructionCertifi
         b=solution.b,
         delta=solution.delta,
         atilde=atilde_table(n),
-        chern_product=total.chern,
-        rank=total.rank,
-        tau=tau,
+        chern_product=chern_product,
+        rank=rank,
+        tau=rank,
         tau_note="rank of the constructed bundle; stable-triviality padding not included",
         tau_best_known=tau_best_known,
         group_order_exponent=row.order_exponent,

@@ -16,7 +16,8 @@ A content digest binds each document.  Checks that would be expensive to
 re-run are skipped (and reported as not run) once the digest has already
 failed, since the document is rejected either way.  The digest is not a
 signature, though, so the size parameters of every document kind are
-bounded before any arithmetic depends on them, a stored power of p is
+bounded before any arithmetic depends on them, a failure detail shows an
+integer past 4300 digits by its bit length, a stored power of p is
 compared by bit length before the power is computed, and the brute-force
 group oracle runs under the verifier's own budget, never the one a report
 claims, and is refused when its m^2 product table would be too large.
@@ -30,6 +31,7 @@ from typing import Any, NamedTuple
 
 from . import primes
 from .certdoc import (
+    DECIMAL_LIMIT,
     MAX_LAMBDA_TABLE_ROWS,
     ParseError,
     compute_digest,
@@ -178,8 +180,28 @@ def verify_document(
     return VerificationReport(kind=str(kind), results=results)
 
 
-def _check(name: str, condition: bool, detail_if_bad: str) -> CheckResult:
-    return CheckResult(name, bool(condition), "" if condition else detail_if_bad)
+def _show(value: Any) -> str:
+    """str(value), except that an integer past certdoc.MAX_INT_DIGITS digits shows its bit length.
+
+    A document may hold integers that str() refuses to convert, so every
+    value a failure detail names goes through here, inside lists, tuples
+    and fractions too.
+    """
+    if isinstance(value, int) and not isinstance(value, bool) and abs(value) >= DECIMAL_LIMIT:
+        return f"<{value.bit_length()}-bit integer>"
+    if isinstance(value, Fraction):
+        num = _show(value.numerator)
+        return num if value.denominator == 1 else f"{num}/{_show(value.denominator)}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(_show, value)) + "]"
+    return str(value)
+
+
+def _check(name: str, condition: bool, template: str, *values: Any) -> CheckResult:
+    """A named result; a failure's detail is ``template`` filled with the shown values."""
+    if condition:
+        return CheckResult(name, True)
+    return CheckResult(name, False, template.format(*map(_show, values)))
 
 
 def _skipped(name: str) -> CheckResult:
@@ -198,8 +220,8 @@ def _verify_construction(cert: dict, digest_ok: bool, budget: int, out: list[Che
         _check(
             "params",
             params_ok,
-            f"bad parameters n={n}, r={r}, p={p} "
-            f"(need 1 <= n <= {MAX_SYMMETRIZATION_N}, r >= 1 and an odd p >= 3)",
+            "bad parameters n={}, r={}, p={} (need 1 <= n <= {}, r >= 1 and an odd p >= 3)",
+            n, r, p, MAX_SYMMETRIZATION_N,
         )
     )
     if not params_ok:
@@ -215,8 +237,9 @@ def _verify_construction(cert: dict, digest_ok: bool, budget: int, out: list[Che
     out.append(
         _check(
             "prime",
-            p % 2 == 1 and primes.is_prime(p) and p % (n + 1) == 1,
-            f"p={p} is not an odd prime congruent to 1 mod {n + 1}",
+            primes.is_odd_prime(p) and p % (n + 1) == 1,
+            "p={} is not an odd prime congruent to 1 mod {}",
+            p, n + 1,
         )
     )
 
@@ -234,8 +257,8 @@ def _verify_construction(cert: dict, digest_ok: bool, budget: int, out: list[Che
     )
 
     fresh_m = _recompute_m(n, fresh_table)
-    out.append(_check("M", M == fresh_m, f"stored M={M}, recomputed {fresh_m}"))
-    out.append(_check("p_exceeds_M", p > fresh_m, f"p={p} is not above M={fresh_m}"))
+    out.append(_check("M", M == fresh_m, "stored M={}, recomputed {}", M, fresh_m))
+    out.append(_check("p_exceeds_M", p > fresh_m, "p={} is not above M={}", p, fresh_m))
 
     roots_ok = (
         len(residues) == n + 1
@@ -252,7 +275,8 @@ def _verify_construction(cert: dict, digest_ok: bool, budget: int, out: list[Che
         _check(
             "sigma_divisibility",
             list(s) == sigma and all(v % q == 0 for v in sigma),
-            f"symmetric functions {sigma} (stored {s}) not all divisible by p^n={q}",
+            "symmetric functions {} (stored {}) not all divisible by p^n={}",
+            sigma, s, q,
         )
     )
 
@@ -280,7 +304,8 @@ def _verify_construction(cert: dict, digest_ok: bool, budget: int, out: list[Che
         _check(
             "chern_product",
             total.is_one() and stored_product.is_one(),
-            f"rebuilt Chern product is {total!r}",
+            "rebuilt Chern product has omega-coefficients {}",
+            total.coeffs,
         )
     )
 
@@ -293,7 +318,8 @@ def _verify_construction(cert: dict, digest_ok: bool, budget: int, out: list[Che
             rank == expected_rank
             and tau == rank
             and decode_int(cert["tau_best_known"]) == (2 if n == 1 else rank),
-            f"rank/tau fields disagree with the formula value {expected_rank}",
+            "rank/tau fields disagree with the formula value {}",
+            expected_rank,
         )
     )
 
@@ -315,7 +341,7 @@ def _verify_construction(cert: dict, digest_ok: bool, budget: int, out: list[Che
             if not structural_ok:
                 detail = "structural abelian bound re-check failed"
             elif count > budget:
-                detail = f"structural-only: {count} subspaces over budget {budget}"
+                detail = f"structural-only: {_show(count)} subspaces over budget {budget}"
             else:
                 detail = ""
             out.append(CheckResult("abelian_bound_structural", structural_ok, detail))
@@ -342,7 +368,8 @@ def _verify_group(cert: dict, digest_ok: bool, out: list[CheckResult]) -> None:
         _check(
             "params",
             params_ok,
-            f"bad parameters n={n}, p={p} (need 1 <= n <= {MAX_GROUP_N} and an odd prime p)",
+            "bad parameters n={}, p={} (need 1 <= n <= {} and an odd prime p)",
+            n, p, MAX_GROUP_N,
         )
     )
     if not params_ok:
@@ -353,7 +380,7 @@ def _verify_group(cert: dict, digest_ok: bool, out: list[CheckResult]) -> None:
     stored_exp = decode_int(cert["max_abelian_exponent"])
     lam = decode_fraction(cert["lambda"])
 
-    out.append(_check("mode", mode in ("structural", "brute"), f"unknown mode {mode!r}"))
+    out.append(_check("mode", mode in ("structural", "brute"), "unknown mode {!r}", mode))
     out.append(
         _check(
             "order",
@@ -390,7 +417,8 @@ def _verify_group(cert: dict, digest_ok: bool, out: list[CheckResult]) -> None:
                 _check(
                     "bound_recomputation",
                     structural == stored_exp,
-                    f"structural exponent {structural} != stored {stored_exp}",
+                    "structural exponent {} != stored {}",
+                    structural, stored_exp,
                 )
             )
     except BudgetExceeded as exc:
@@ -426,9 +454,9 @@ def _verify_olshanskii(cert: dict, digest_ok: bool, budget: int, out: list[Check
         _check(
             "params",
             params_ok,
-            f"bad parameters n={n}, r={r}, p={p} (need n >= 1, r >= 2, at most "
-            f"{MAX_FORM_FAMILY_ENTRIES} matrix entries r * (2n)^2, an odd prime p, "
-            f"r matrices, and every stored matrix and form 2n x 2n)",
+            "bad parameters n={}, r={}, p={} (need n >= 1, r >= 2, at most {} matrix entries "
+            "r * (2n)^2, an odd prime p, r matrices, and every stored matrix and form 2n x 2n)",
+            n, r, p, MAX_FORM_FAMILY_ENTRIES,
         )
     )
     if not params_ok:
@@ -438,7 +466,8 @@ def _verify_olshanskii(cert: dict, digest_ok: bool, budget: int, out: list[Check
         _check(
             "k_choice",
             k == _bound_row(n, r)[0] and 4 * n < r * (k - 1),
-            f"k={k} is not the floor(4n/r)+2 choice or violates 4n < r(k-1)",
+            "k={} is not the floor(4n/r)+2 choice or violates 4n < r(k-1)",
+            k,
         )
     )
     # A square A is invertible exactly when its pullback A^T M A is
@@ -478,7 +507,7 @@ def _verify_olshanskii(cert: dict, digest_ok: bool, budget: int, out: list[Check
     if k > n:
         # Every form is nondegenerate, so no subspace above dimension n is
         # isotropic for any of them: W lies in W-perp, of dimension 2n - dim W.
-        detail = f"nondegeneracy: k={k} > n={n}"
+        detail = f"nondegeneracy: k={_show(k)} > n={n}"
         if not certified:
             detail += f", but certified={certified}"
         out.append(CheckResult("isotropic_enumeration", certified, detail))
@@ -492,8 +521,8 @@ def _verify_olshanskii(cert: dict, digest_ok: bool, budget: int, out: list[Check
             _check(
                 "isotropic_enumeration",
                 (len(common) == 0) == certified,
-                f"enumeration found {len(common)} common isotropic subspaces but "
-                f"certified={certified}",
+                "enumeration found {} common isotropic subspaces but certified={}",
+                len(common), certified,
             )
         )
 
@@ -511,7 +540,8 @@ def _verify_olshanskii(cert: dict, digest_ok: bool, budget: int, out: list[Check
                     "exact_abelian_bound",
                     d_exact == stored_d
                     and decode_int(bound["exact_abelian_exponent"]) == r + stored_d,
-                    f"recomputed max common-isotropic dim {d_exact} != stored {stored_d}",
+                    "recomputed max common-isotropic dim {} != stored {}",
+                    d_exact, stored_d,
                 )
             )
         except BudgetExceeded as exc:
@@ -540,9 +570,9 @@ def _verify_lambda_table(cert: dict, out: list[CheckResult]) -> None:
         _check(
             "params",
             params_ok,
-            f"bad parameters max_n={max_n}, max_r={max_r} (need both >= 1, at most "
-            f"{MAX_LAMBDA_TABLE_ROWS} rows, and the {len(rows)} rows to be exactly the "
-            f"(n, r) grid 1..max_n x 1..max_r)",
+            "bad parameters max_n={}, max_r={} (need both >= 1, at most {} rows, and the {} rows "
+            "to be exactly the (n, r) grid 1..max_n x 1..max_r)",
+            max_n, max_r, MAX_LAMBDA_TABLE_ROWS, len(rows),
         )
     )
     if not params_ok:
@@ -591,7 +621,7 @@ def _verify_lambda_table(cert: dict, out: list[CheckResult]) -> None:
 def _verify_prime(cert: dict, out: list[CheckResult]) -> None:
     n = decode_int(cert["n"])
     if not 1 <= n <= MAX_SYMMETRIZATION_N:
-        out.append(CheckResult("M", False, f"n={n} is outside 1..{MAX_SYMMETRIZATION_N}"))
+        out.append(_check("M", False, "n={} is outside 1..{}", n, MAX_SYMMETRIZATION_N))
         return
     h = decode_int(cert["h"])
     min_p = decode_int(cert["min"])
@@ -599,17 +629,16 @@ def _verify_prime(cert: dict, out: list[CheckResult]) -> None:
     M = decode_int(cert["M"])
 
     fresh_m = _recompute_m(n, _rederive_atilde(n))
-    out.append(_check("M", M == fresh_m, f"stored M={M}, recomputed {fresh_m}"))
+    out.append(_check("M", M == fresh_m, "stored M={}, recomputed {}", M, fresh_m))
 
     qualifies = (
-        p % 2 == 1
-        and primes.is_prime(p)
+        primes.is_odd_prime(p)
         and p % (n + 1) == 1
         and p > fresh_m
         and p >= max(min_p, 3)
         and h % p != 0
     )
-    out.append(_check("prime_qualifies", qualifies, f"{p} fails a required condition"))
+    out.append(_check("prime_qualifies", qualifies, "{} fails a required condition", p))
 
     start = max(min_p, fresh_m + 1, 3)
     candidate = start + (1 - start) % (n + 1)
@@ -619,4 +648,4 @@ def _verify_prime(cert: dict, out: list[CheckResult]) -> None:
             minimal = False
             break
         candidate += n + 1
-    out.append(_check("prime_minimal", minimal, f"{candidate} qualifies and is smaller"))
+    out.append(_check("prime_minimal", minimal, "{} qualifies and is smaller", candidate))

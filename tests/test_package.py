@@ -17,8 +17,7 @@ EXPORTED = {
     "brute_force_lambda", "group_order", "max_abelian_exponent", "max_abelian_order",
     "ProductBound", "ProductSubgroupSpec", "isotropy_free_dimension", "olshanskii_search",
     "product_subgroup_bound",
-    "BundleDescriptor", "OmegaSeries", "chern_F", "chern_G", "direct_sum", "line_power_chern",
-    "pullback_w",
+    "OmegaSeries", "chern_G", "direct_sum",
     "CertificationError", "ConstructionCertificate", "DeltaSolution", "DivisibilityError",
     "LambdaRow", "PreconditionError", "RootFamily", "SearchExhausted", "certify", "compute_M",
     "epsilon_witness", "find_prime", "find_roots", "lambda_table", "rank_formula", "solve_deltas",
@@ -40,6 +39,19 @@ def test_export_is_the_object_its_module_defines(name):
     assert getattr(module, name) is value
     assert vars(pgroupcert)[name] is value  # cached: the next read skips __getattr__
     assert name in dir(pgroupcert)
+
+
+# Names of the deleted bundle-descriptor layer; an OmegaSeries is the only Chern-class type.
+REMOVED = ["BundleDescriptor", "chern_F", "line_power_chern", "pullback_w"]
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_name_is_gone(name):
+    from pgroupcert import series
+
+    assert not hasattr(series, name)
+    with pytest.raises(AttributeError):
+        getattr(pgroupcert, name)
 
 
 # Test-only API that moved to tests/group_oracle.py.

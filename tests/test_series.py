@@ -1,4 +1,4 @@
-"""Truncated series ring and the bundle Chern data."""
+"""Truncated series ring and the Chern classes of the construction."""
 
 from fractions import Fraction
 from math import factorial
@@ -8,15 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exterior_oracle import ExteriorClass, omega
-from pgroupcert.series import (
-    BundleDescriptor,
-    OmegaSeries,
-    chern_F,
-    chern_G,
-    direct_sum,
-    line_power_chern,
-    pullback_w,
-)
+from pgroupcert.series import OmegaSeries, chern_G, direct_sum
+from pgroupcert.solver import rank_formula
 
 F = Fraction
 
@@ -63,41 +56,36 @@ def test_inverse_is_exact_inverse(n, tail):
     assert (a * a.inverse()).is_one()
 
 
-# -- bundle descriptors ---------------------------------------------------------
+# -- Chern classes of the construction bundles ----------------------------------
+#
+# c(F_k(delta)), the symmetrized bundle before the pullback, is chern_G at p = 1.
 
 
-def test_line_power():
-    assert line_power_chern(1, 3, 0).chern.is_one()
-    assert line_power_chern(1, 3, 1).chern == S(1, 1, 3)
-    assert line_power_chern(2, 7, -2).chern == S(2, 1, -14, 0)
-    assert line_power_chern(2, 7, -2).rank == 1
+def line(n, c1):
+    """Class of a line power with first Chern class c1 * omega."""
+    return OmegaSeries.from_dict(n, {0: 1, 1: c1})
 
 
 def test_chern_F_examples():
-    zero = chern_F(3, 2, 0)
-    assert zero.chern.is_one()
-    assert zero.rank == 2 * factorial(3)
-
+    assert chern_G(3, 2, 0, 1).is_one()
     for d in (-3, 1, 5):
-        assert chern_F(1, 1, d).chern == S(1, 1, d)
-        assert chern_F(1, 1, d).rank == 1
-        assert chern_F(2, 2, d).chern == S(2, 1, 0, -d)
-        assert chern_F(2, 2, d).rank == 4
+        assert chern_G(1, 1, d, 1) == S(1, 1, d)
+        assert chern_G(2, 2, d, 1) == S(2, 1, 0, -d)
 
 
 def test_chern_F_rational_omega_coefficients_are_integral_classes():
     # at (n,k) = (2,1) the omega^2 coefficient is delta^2/2: rational in the
     # omega basis but integral as a cohomology class
-    b = chern_F(2, 1, 3)
-    assert b.chern == S(2, 1, 3, F(9, 2))
-    assert b.chern.is_integral_class()
+    b = chern_G(2, 1, 3, 1)
+    assert b == S(2, 1, 3, F(9, 2))
+    assert b.is_integral_class()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_chern_F_always_integral_class(n):
     for k in range(1, n + 1):
         for delta in range(-20, 21):
-            assert chern_F(n, k, delta).chern.is_integral_class()
+            assert chern_G(n, k, delta, 1).is_integral_class()
 
 
 @pytest.mark.parametrize("n,k,delta", [(2, 1, 3), (3, 1, 5), (3, 2, -4)])
@@ -106,7 +94,7 @@ def test_chern_F_matches_exterior_expansion(n, k, delta):
     # compare with the product over all permutation pullbacks
     from exterior_oracle import IndexPermutation, permutation_pullback
 
-    series = chern_F(n, k, delta).chern
+    series = chern_G(n, k, delta, 1)
     as_class = ExteriorClass.zero(n)
     for j, c in enumerate(series.coeffs):
         as_class = as_class + c * omega(n) ** j
@@ -120,12 +108,12 @@ def test_chern_F_matches_exterior_expansion(n, k, delta):
 
 
 def test_pullback_w_examples():
-    assert pullback_w(BundleDescriptor("x", 1, S(1, 1, 0)), 5).chern.is_one()
-    got = pullback_w(chern_F(1, 1, 4), 3)
-    assert got.chern == S(1, 1, 36)
-    assert got.label == "G"
-    b = BundleDescriptor("F", 4, S(2, 1, 0, -7), {"k": 2, "delta": 7})
-    assert pullback_w(b, 5).chern == S(2, 1, 0, -7 * 625)
+    # the p-power pullback scales the omega^j coefficient by p^(2j)
+    assert chern_G(1, 1, 4, 3) == S(1, 1, 36)
+    assert chern_G(2, 2, -7, 5) == S(2, 1, 0, 7 * 625)
+    for n, k, delta, p in [(3, 1, 2, 5), (4, 2, -3, 7)]:
+        unpulled = chern_G(n, k, delta, 1)
+        assert chern_G(n, k, delta, p).coeffs == tuple(c * p ** (2 * j) for j, c in enumerate(unpulled.coeffs))
 
 
 def test_pullback_w_is_ring_homomorphism():
@@ -144,38 +132,38 @@ def test_pullback_w_is_ring_homomorphism():
 
 
 def test_chern_G_scaling():
-    assert chern_G(1, 1, -1, 3).chern == S(1, 1, -9)
-    assert chern_G(2, 2, 5, 7).chern == S(2, 1, 0, -5 * 7**4)
+    assert chern_G(1, 1, -1, 3) == S(1, 1, -9)
+    assert chern_G(2, 2, 5, 7) == S(2, 1, 0, -5 * 7**4)
+
+
+def test_chern_G_range_of_k():
+    for k in (0, 3):
+        with pytest.raises(ValueError):
+            chern_G(2, k, 1, 3)
 
 
 def test_direct_sum_examples():
-    trivial = [BundleDescriptor("x", 2, OmegaSeries.one(2)) for _ in range(3)]
-    summed = direct_sum(trivial)
-    assert summed.rank == 6 and summed.chern.is_one()
-
+    assert direct_sum([OmegaSeries.one(2)] * 3).is_one()
     # opposite line powers cancel at n=1
-    n1 = direct_sum([line_power_chern(1, 3, 4), line_power_chern(1, 3, -4)])
-    assert n1.chern.is_one() and n1.rank == 2
+    assert direct_sum([line(1, 12), line(1, -12)]).is_one()
+    assert direct_sum([line(2, 3), chern_G(2, 2, 1, 1)]) == S(2, 1, 3, -1)
+    with pytest.raises(ValueError):
+        direct_sum([])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_rank_formula_for_full_recipe(n):
-    # n+1 line powers plus the pulled-back bundles for k = 1..n, any deltas
-    p = 3
-    bundles = [line_power_chern(n, p, 0) for _ in range(n + 1)]
-    bundles += [chern_G(n, k, 0, p) for k in range(1, n + 1)]
-    total = direct_sum(bundles)
-    assert total.rank == n + 1 + n * (n + 1) // 2 * factorial(n)
+    # n+1 line powers of rank 1 plus G_k of rank k*n! for k = 1..n
+    assert (n + 1) * 1 + sum(k * factorial(n) for k in range(1, n + 1)) == rank_formula(n)
 
 
 def test_direct_sum_mismatched_n():
     with pytest.raises(ValueError):
-        direct_sum([line_power_chern(1, 3, 1), line_power_chern(2, 3, 1)])
+        direct_sum([line(1, 3), line(2, 3)])
 
 
-def test_bundle_descriptor_rejects_non_chern():
-    with pytest.raises(ValueError):
-        BundleDescriptor("x", 1, S(1, 2, 0))
-    with pytest.raises(ValueError):
-        # omega coefficient 1/2 at degree 1 is not an integral class
-        BundleDescriptor("x", 1, S(1, 1, F(1, 2)))
+def test_non_integral_class_is_detected():
+    assert S(1, 1, 3).is_integral_class()
+    # omega coefficient 1/2 at degree 1 is not an integral class
+    assert not S(1, 1, F(1, 2)).is_integral_class()
+    assert not S(2, 1, 0, F(1, 3)).is_integral_class()

@@ -236,6 +236,34 @@ def test_solve_deltas_shifted_lifts_still_cancel():
     assert sol.delta != solve_deltas(n, p, M, base).delta
 
 
+# The cube roots of unity mod 49 are 1, 18 and 30.
+@pytest.mark.parametrize(
+    "family,message",
+    [
+        # 4 and 11 square to 1 mod 15, but 4 * 11 = 14 mod 15: no prime modulus allows this
+        (RootFamily(1, 15, (4, 11), (4, 11), "crafted"), "not closed under multiplication"),
+        (RootFamily(2, 7, (1, 2, 18), (1, 2, 18), "crafted"), r"2 is not an \(n\+1\)-st root"),
+        (RootFamily(2, 7, (1, 18, 30), (1, 18, 31), "crafted"), "lift 31 does not reduce"),
+        # a lift divisible by p reduces to a non-unit, so it cannot reduce to a root
+        (RootFamily(2, 7, (1, 18, 30), (0, 18, 30), "crafted"), "lift 0 does not reduce"),
+    ],
+    ids=["not-closed", "not-a-root", "lift-off-its-residue", "lift-divisible-by-p"],
+)
+def test_bad_root_families_are_rejected(family, message):
+    with pytest.raises(CertificationError, match=message):
+        family.validate()
+    with pytest.raises(CertificationError, match=message):
+        solve_deltas(family.n, family.p, 1, family)
+
+
+def test_solve_deltas_rejects_a_family_for_other_parameters():
+    family = find_roots(2, 7)
+    with pytest.raises(PreconditionError, match="does not match"):
+        solve_deltas(2, 13, 2, family)
+    with pytest.raises(PreconditionError, match="does not match"):
+        solve_deltas(3, 7, 2, family)
+
+
 # -- certificates ------------------------------------------------------------------
 
 
@@ -256,6 +284,17 @@ def test_certify_2_1_7():
     assert cert.lambda_gamma == F(3, 5)
     assert cert.rank == 9
     assert cert.group_order == 7**5
+
+
+@pytest.mark.parametrize("n,p", [(1, 3), (2, 7), (3, 13)])
+def test_certify_builds_each_G_class_once(monkeypatch, n, p):
+    calls = []
+    real = solver.chern_G
+    monkeypatch.setattr(solver, "chern_G", lambda *args: calls.append(args) or real(*args))
+    cert = certify(n, 1, p)
+    assert [args[1] for args in calls] == list(range(1, n + 1))
+    assert [real(*args) for args in calls] == list(solve_deltas(n, p, cert.M, find_roots(n, p)).G)
+    assert cert.chern_product.is_one()
 
 
 def test_certify_preconditions():

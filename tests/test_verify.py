@@ -86,6 +86,14 @@ def test_olshanskii_document_verifies():
     assert report.ok, report.failures()
 
 
+def test_olshanskii_count_past_2_53_is_a_decimal_string():
+    # gb(14, 9, 3) subspaces per attempt: beyond 2^53, so the document holds it as a string
+    doc = reserialize(olshanskii_doc(7, 4, 3))
+    assert doc["certificate"]["transcript"]["subspaces_examined_per_attempt"] == "5263390747480701708292"
+    report = verify_document(doc)
+    assert report.ok, report.failures()
+
+
 def lambda_table_doc(max_n, max_r):
     rows = lambda_table(max_n, max_r)
     eps = Fraction(2, 3)
@@ -466,6 +474,36 @@ def test_checks_computed_before_a_malformed_field_are_kept():
         "well_formed",
     ]
     assert [result.name for result in report.failures()] == ["k_choice", "bound_exponents", "well_formed"]
+
+
+@pytest.mark.parametrize(
+    "make_doc,field,check",
+    [
+        (lambda: olshanskii_doc(1, 2, 3), "r", "params"),
+        (lambda: construction_doc(2, 1, 7), "n", "params"),
+        (lambda: construction_doc(2, 1, 7), "M", "M"),
+        (lambda: group_doc(1, 3, mode="structural"), "n", "params"),
+        (lambda: group_doc(1, 3, mode="structural"), "max_abelian_exponent", "bound_recomputation"),
+        (lambda: lambda_table_doc(3, 2), "max_n", "params"),
+        (lambda: prime_doc(2), "n", "M"),
+        (lambda: prime_doc(2), "prime", "prime_qualifies"),
+    ],
+    ids=[
+        "olshanskii-r", "construction-n", "construction-M", "group-n", "group-max_abelian_exponent",
+        "lambda_table-max_n", "prime-n", "prime-prime",
+    ],
+)
+def test_integers_past_the_digit_limit_fail_their_named_check(make_doc, field, check):
+    # str() refuses integers past 4300 digits, so a detail naming one shows its bit length
+    doc = make_doc()
+    doc["certificate"][field] = hex(10**5000)
+    report = verify_document(fix_digest(doc))
+    assert report.results[0].passed
+    failed = {result.name: result.detail for result in report.failures()}
+    assert "well_formed" not in failed, failed
+    assert "16610-bit integer" in failed[check]
+    if field == "M":  # every check after M still runs
+        assert report.results[-1].name == "recorded_checks"
 
 
 @pytest.mark.parametrize("p", [0, 1, -3])
