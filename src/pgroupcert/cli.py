@@ -24,6 +24,12 @@ from .symplectic import DEFAULT_SUBSPACE_BUDGET, BudgetExceeded
 from .verify import verify_document
 
 
+_SUBSPACE_BUDGET_HELP = (
+    "Most subspaces one isotropic search may decide; only searches at dimension <= n use it, "
+    "so it applies to certifying a family only when k <= n (default: %(default)s)."
+)
+
+
 class UsageError(Exception):
     """Bad input for a command; reported under the command's usage line with exit status 2."""
 
@@ -209,7 +215,7 @@ def _parser(prog: str) -> argparse.ArgumentParser:
     sub.add_argument("--r", type=int, required=True, help="Number of forms; at least 2.")
     sub.add_argument("--p", type=int, required=True, help="Odd prime.")
     sub.add_argument("--seed", type=int, default=0, help="(default: %(default)s)")
-    sub.add_argument("--budget", type=int, default=DEFAULT_SUBSPACE_BUDGET, help="(default: %(default)s)")
+    sub.add_argument("--budget", type=int, default=DEFAULT_SUBSPACE_BUDGET, help=_SUBSPACE_BUDGET_HELP)
     sub.add_argument("--attempts", type=int, default=DEFAULT_SEARCH_ATTEMPTS, help="(default: %(default)s)")
     out_option(sub)
 
@@ -229,7 +235,7 @@ def _parser(prog: str) -> argparse.ArgumentParser:
 
     sub = command("verify", verify)
     sub.add_argument("path", metavar="PATH")
-    sub.add_argument("--budget", type=int, default=DEFAULT_SUBSPACE_BUDGET, help="(default: %(default)s)")
+    sub.add_argument("--budget", type=int, default=DEFAULT_SUBSPACE_BUDGET, help=_SUBSPACE_BUDGET_HELP)
     return parser
 
 

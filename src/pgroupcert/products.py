@@ -10,11 +10,9 @@ subgroups have at most p^(r+k) elements.
 
 Families certifying that property exist whenever 4n < r(k-1); the search
 below samples matrices pseudorandomly (seeded) and never reports a family
-as certified on randomized evidence alone.  When k > n the certificate is
-the rank argument: each omega_j is nondegenerate (the spec proves it by
-rank), and a nondegenerate form on F_p^(2n) has no isotropic subspace of
-dimension above n, because W lies in W-perp and dim W-perp = 2n - dim W.
-When k <= n the family is verified by exhaustive subspace enumeration.
+as certified on randomized evidence alone: symplectic.enumerate_isotropic
+decides each family, by exhaustive search when k <= n and by the rank
+argument, which lives there alone, when k > n.
 """
 
 from __future__ import annotations
@@ -32,6 +30,7 @@ from .symplectic import (
     SymplecticForm,
     enumerate_isotropic,
     gaussian_binomial,
+    max_common_isotropic_dim,
     random_invertible,
 )
 
@@ -163,13 +162,11 @@ def olshanskii_search(
     """Search for r symplectic forms on F_p^(2n) with no common k-dimensional isotropic subspace.
 
     A_1 is always the identity; the rest are sampled from the seeded rng.
-    When k > n the first family drawn is certified by nondegeneracy, no
-    subspace is enumerated and the budget does not apply; otherwise
-    certification is by exhaustive enumeration, refused up front when
-    the Gaussian binomial exceeds the budget.  A family of more than
-    MAX_FORM_FAMILY_ENTRIES matrix entries is refused before any matrix
-    is drawn.  If no family passes within the attempt budget the result
-    comes back uncertified, with the transcript recording every attempt;
+    Each family drawn is decided by enumerate_isotropic, whose budget
+    binds only when k <= n, so an over-budget search is refused at the
+    first attempt.  A family of more than MAX_FORM_FAMILY_ENTRIES matrix
+    entries is refused before any matrix is drawn.  If no family passes
+    within the attempt budget the result comes back uncertified, with the transcript recording every attempt;
     existence for small parameters is not guaranteed, so honest
     exhaustion is a valid outcome.
     """
@@ -187,8 +184,6 @@ def olshanskii_search(
         raise ValueError(f"p={p} is not an odd prime")
     k = isotropy_free_dimension(n, r)
     total = gaussian_binomial(2 * n, k, p)
-    if k <= n and total > budget:
-        raise BudgetExceeded(total, budget)
     rng = random.Random(seed)
     transcript: dict = {"seed": seed, "attempts": [], "subspaces_examined_per_attempt": total}
     for attempt in range(1, attempts + 1):
@@ -196,7 +191,7 @@ def olshanskii_search(
             random_invertible(2 * n, p, rng) for _ in range(r - 1)
         )
         spec = ProductSubgroupSpec(n=n, p=p, r=r, k=k, mats=mats, certified=False, transcript=transcript)
-        found = 0 if k > n else len(enumerate_isotropic(list(spec.forms), k, budget=budget))
+        found = len(enumerate_isotropic(spec.forms, k, budget=budget))
         transcript["attempts"].append({"attempt": attempt, "common_isotropic_found": found})
         if not found:
             spec.certified = True
@@ -219,24 +214,16 @@ def product_subgroup_bound(
 
     Structurally the abelian exponent is r + min(k, 2n).  When the
     enumerations fit the budget, the exact maximal common-isotropic
-    dimension d is computed as well, giving the exact maximal abelian
-    order p^(r+d) (the preimage of a maximal common-isotropic subspace
-    is abelian and attains it).  The search for d starts at min(k-1, n):
-    no isotropic space lies above n, and since gb(2n, d, p) is largest
-    at d = n, a budget that admits n admits every larger d as well.
+    dimension d < k is computed as well, by max_common_isotropic_dim,
+    giving the exact maximal abelian order p^(r+d) (the preimage of a
+    maximal common-isotropic subspace is abelian and attains it).
     """
     if not spec.certified:
         raise ValueError("bounds are only reported for certified families")
-    d_exact: int | None = None
-    for d in range(min(spec.k - 1, spec.n), -1, -1):
-        try:
-            found = enumerate_isotropic(list(spec.forms), d, budget=exact_budget)
-        except BudgetExceeded:
-            d_exact = None
-            break
-        if found:
-            d_exact = d
-            break
+    try:
+        d_exact = max_common_isotropic_dim(spec.forms, spec.k, budget=exact_budget)
+    except BudgetExceeded:
+        d_exact = None
     return ProductBound(
         order_exponent=spec.order_exponent,
         abelian_exponent=spec.abelian_exponent,

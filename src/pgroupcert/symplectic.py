@@ -16,11 +16,13 @@ touches far fewer candidate rows than there are subspaces.  It still
 decides every subspace, and checks that the subspaces it ruled out plus
 those it kept add up to the Gaussian binomial.  The
 subspaces_examined_per_attempt of a form-family transcript is that count
-of subspaces decided, not the number of candidate rows touched.  When k
-exceeds n the form-family search decides all of them without this
-search: a nondegenerate form on F_p^(2n) has no isotropic subspace of
-dimension above n, since W lies in W-perp and dim W-perp = 2n - dim W.
-The tests hold the search to a plain walk over every echelon basis.
+of subspaces decided, not the number of candidate rows touched.  The
+rank argument lives here and nowhere else: every SymplecticForm is
+nondegenerate (its constructor checks the rank), and such a form on
+F_p^(2n) has no isotropic subspace of dimension above n, since W lies in
+W-perp and dim W-perp = 2n - dim W, so enumerate_isotropic answers those
+dimensions empty, before the budget.  The tests hold the search to a
+plain walk over every echelon basis.
 """
 
 from __future__ import annotations
@@ -307,7 +309,8 @@ def enumerate_isotropic(
     subspaces ruled out plus the survivors must add up to the Gaussian
     binomial count, so an empty list is a certificate that every
     subspace was decided.  Raises BudgetExceeded before doing any work
-    if that count is over budget.
+    if that count is over budget.  Above half the dimension the answer is
+    empty by the rank argument, with no search and no budget.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -318,7 +321,7 @@ def enumerate_isotropic(
     for f in forms:
         if f.p != p or f.dim != dim:
             raise ValueError("forms must share p and dimension")
-    if k > dim:
+    if 2 * k > dim:
         return []
     total = gaussian_binomial(dim, k, p)
     if total > budget:
@@ -344,3 +347,18 @@ def enumerate_isotropic(
         survivors.extend(bases)
     assert decided == total, f"decided {decided} subspaces, expected {total}"
     return [Subspace(p, basis) for basis in sorted(survivors)]
+
+
+def max_common_isotropic_dim(
+    forms: Sequence[SymplecticForm], below: int, budget: int = DEFAULT_SUBSPACE_BUDGET
+) -> int | None:
+    """The largest d < below such that some d-dimensional subspace is isotropic for every form.
+
+    The search runs down from the highest dimension the rank argument
+    leaves open, so a huge ``below`` costs nothing.  Raises BudgetExceeded
+    when a dimension it reaches is over budget; None only when below < 1.
+    """
+    for d in range(min(below, forms[0].dim // 2 + 1) - 1, -1, -1):
+        if enumerate_isotropic(forms, d, budget=budget):
+            return d
+    return None

@@ -131,13 +131,33 @@ def test_olshanskii_vacuous_case(runner, tmp_path):
 
 
 def test_olshanskii_k_above_n_needs_no_budget(runner, tmp_path):
-    # k = 7 > n = 5; gb(10, 7, 3) = 18,326,727,760 is far over the default budget
+    # k = 7 > n = 5; gb(10, 7, 3) = 18,326,727,760 is far over any budget, and none applies
     out = tmp_path / "olsh.json"
-    result = runner.invoke(main, ["olshanskii", "--n", "5", "--r", "4", "--p", "3", "--out", str(out)])
+    result = runner.invoke(
+        main, ["olshanskii", "--n", "5", "--r", "4", "--p", "3", "--budget", "1", "--out", str(out)]
+    )
     assert result.exit_code == 0, result.output
-    verify_result = runner.invoke(main, ["verify", str(out)])
+    verify_result = runner.invoke(main, ["verify", "--budget", "1", str(out)])
     assert verify_result.exit_code == 0, verify_result.output
-    assert "nondegeneracy: k=7 > n=5" in verify_result.output
+    assert "ok   olshanskii:isotropic_enumeration\n" in verify_result.output
+
+
+@pytest.mark.parametrize("k", [-3, 0, 1, 10**9, "0x" + "f" * 1000], ids=["-3", "0", "1", "1e9", "hex1000"])
+def test_verify_fails_an_invalid_k_without_searching(runner, tmp_path, k):
+    out = tmp_path / "olsh.json"
+    runner.invoke(main, ["olshanskii", "--n", "3", "--r", "7", "--p", "3", "--seed", "1", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    doc["certificate"]["k"] = k
+    doc["digest"] = certdoc.compute_digest(certdoc.document_digestable(doc))
+    out.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    result = runner.invoke(main, ["verify", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 1, result.output
+    assert "well_formed" not in result.output
+    assert "FAIL olshanskii:k_choice" in result.output
+    for name in ("isotropic_enumeration", "exact_abelian_bound"):
+        assert f"FAIL olshanskii:{name}  (not run: k invalid)" in result.output
 
 
 def test_olshanskii_requires_r_at_least_2(runner):

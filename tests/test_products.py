@@ -2,11 +2,12 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from pgroupcert import products, verify
+from pgroupcert import products, symplectic, verify
 from pgroupcert.groups import max_abelian_order
 from pgroupcert.products import (
     ProductSubgroupSpec,
@@ -18,6 +19,7 @@ from pgroupcert.products import (
 )
 from pgroupcert.symplectic import BudgetExceeded, enumerate_isotropic
 from product_oracle import common_projection, iterate_product_group, product_element, product_mul
+from subspace_oracle import isotropic_by_pivot_walk
 
 
 def test_isotropy_free_dimension():
@@ -141,12 +143,12 @@ def test_spec_rejects_wrongly_shaped_matrices():
             ProductSubgroupSpec(n=1, p=3, r=2, k=4, mats=(spec.mats[0], bad), certified=True)
 
 
-def _refuse_enumeration(*args, **kwargs):
-    raise AssertionError("enumerate_isotropic called")
+def _refuse_search(*args, **kwargs):
+    raise AssertionError("isotropic search run")
 
 
 def test_k_above_n_is_certified_by_nondegeneracy(monkeypatch):
-    monkeypatch.setattr(products, "enumerate_isotropic", _refuse_enumeration)
+    monkeypatch.setattr(symplectic, "_isotropic_with_pivots", _refuse_search)
     spec = olshanskii_search(4, 4, 3, seed=7)
     assert (spec.k, spec.n) == (6, 4)
     assert spec.certified
@@ -155,7 +157,7 @@ def test_k_above_n_is_certified_by_nondegeneracy(monkeypatch):
 
 
 def test_k_above_n_is_not_refused_by_the_enumeration_budget(monkeypatch):
-    monkeypatch.setattr(products, "enumerate_isotropic", _refuse_enumeration)
+    monkeypatch.setattr(symplectic, "_isotropic_with_pivots", _refuse_search)
     spec = olshanskii_search(5, 4, 3, seed=0, budget=1)
     assert (spec.k, spec.n) == (7, 5)
     assert spec.certified
@@ -182,10 +184,10 @@ def test_k_at_most_n_is_certified_by_enumeration(monkeypatch):
 
 
 def _exact_dim_from_2n(spec, budget):
-    """The exact-dimension search as it was, starting at min(k-1, 2n)."""
+    """The exact-dimension search from min(k-1, 2n), deciding even the dimensions above n by search."""
     for d in range(min(spec.k - 1, 2 * spec.n), -1, -1):
         try:
-            if enumerate_isotropic(list(spec.forms), d, budget=budget):
+            if isotropic_by_pivot_walk(list(spec.forms), d, budget=budget):
                 return d
         except BudgetExceeded:
             return None
@@ -221,3 +223,12 @@ def test_exact_dimension_search_on_a_shared_lagrangian():
     for budget in (10**7, 130, 129):
         bound = product_subgroup_bound(spec, exact_budget=budget)
         assert bound.max_common_isotropic_dim == _exact_dim_from_2n(spec, budget)
+
+
+def test_a_huge_k_does_not_lengthen_the_exact_search():
+    spec = olshanskii_search(2, 2, 3, seed=1)
+    hostile = ProductSubgroupSpec(n=2, p=3, r=2, k=10**9, mats=spec.mats, certified=True)
+    start = time.perf_counter()
+    bound = product_subgroup_bound(hostile)
+    assert time.perf_counter() - start < 1.0
+    assert bound.max_common_isotropic_dim == _exact_dim_from_2n(hostile, 10**7) == 2

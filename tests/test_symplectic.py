@@ -18,7 +18,8 @@ from pgroupcert.symplectic import (
     random_invertible,
     rref_mod_p,
 )
-from subspace_oracle import enumerate_subspaces
+from pgroupcert import symplectic
+from subspace_oracle import enumerate_subspaces, isotropic_by_pivot_walk
 
 
 def test_standard_form_evaluation():
@@ -90,8 +91,19 @@ def test_isotropic_lines_always_exist():
 def test_no_isotropic_beyond_half_dimension():
     for n, p in [(1, 3), (1, 5), (2, 3)]:
         form = SymplecticForm.standard(n, p)
-        assert enumerate_isotropic([form], n + 1) == []
-        assert enumerate_isotropic([form], n) != []
+        assert isotropic_by_pivot_walk([form], n + 1) == enumerate_isotropic([form], n + 1) == []
+        assert isotropic_by_pivot_walk([form], n) == enumerate_isotropic([form], n) != []
+
+
+def test_above_half_dimension_nothing_is_searched_or_budgeted(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("isotropic search run")
+
+    monkeypatch.setattr(symplectic, "_isotropic_with_pivots", refuse)
+    form = SymplecticForm.standard(64, 3)
+    assert enumerate_isotropic([form], 65, budget=0) == []
+    with pytest.raises(BudgetExceeded):
+        enumerate_isotropic([form], 64, budget=0)
 
 
 def test_lagrangian_count():
@@ -172,7 +184,7 @@ def test_enumerate_isotropic_matches_oracle(half, p, count, seed):
 def test_flagship_family_has_no_common_isotropic_6_space():
     spec = olshanskii_search(4, 4, 3, seed=7)
     assert spec.k == 6
-    assert enumerate_isotropic(list(spec.forms), 6) == []
+    assert isotropic_by_pivot_walk(list(spec.forms), 6) == []
 
 
 def _rref_accepts(p, basis):
@@ -236,9 +248,9 @@ def test_subspace_check_rejects_each_shape_fault():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_no_common_isotropic_space_above_half_dimension(half, p, count, seed):
-    # The rank argument that settles k > n families, witnessed by enumeration.
+    # The rank argument enumerate_isotropic settles k > n by, witnessed by a search.
     rng = random.Random(seed)
     standard = SymplecticForm.standard(half, p)
     forms = [standard.pullback(random_invertible(2 * half, p, rng)) for _ in range(count)]
     for k in range(half + 1, 2 * half + 1):
-        assert enumerate_isotropic(forms, k) == []
+        assert isotropic_by_pivot_walk(forms, k) == []

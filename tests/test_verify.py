@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from pgroupcert import certdoc, products, verify
+from pgroupcert import certdoc, products, symplectic, verify
 from pgroupcert.exterior import MAX_SYMMETRIZATION_N
 from pgroupcert.groups import BRUTE_WORK_BUDGET, MAX_GROUP_N, brute_force_lambda, group_order, max_abelian_exponent
 from pgroupcert.products import ProductSubgroupSpec, identity_matrix, olshanskii_search, product_subgroup_bound
@@ -377,18 +377,16 @@ def test_brute_group_report_runs_under_the_verifiers_budget():
     assert "budget is 10000" in failed["bound_recomputation"]
 
 
-def test_structural_only_abelian_bound_says_so():
+def test_abelian_bound_runs_in_full_under_any_budget():
     doc = reserialize(construction_doc(2, 1, 7))
-    full = {result.name: result for result in verify_document(doc).results}
-    assert full["abelian_bound_structural"].passed and full["abelian_bound_structural"].detail == ""
-    # gaussian_binomial(4, 3, 7) = 400 subspaces
-    over = {result.name: result for result in verify_document(doc, budget=399).results}
-    assert over["abelian_bound_structural"].passed
-    assert over["abelian_bound_structural"].detail == "structural-only: 400 subspaces over budget 399"
+    # gaussian_binomial(4, 3, 7) = 400 subspaces, but no 3-space is isotropic by the rank argument
+    for budget in (10**7, 399):
+        checks = {result.name: result for result in verify_document(doc, budget=budget).results}
+        assert checks["abelian_bound_structural"] == ("abelian_bound_structural", True, "")
 
 
-def _refuse_enumeration(*args, **kwargs):
-    raise AssertionError("enumerate_isotropic called")
+def _refuse_search(*args, **kwargs):
+    raise AssertionError("isotropic search run")
 
 
 def _count_enumerations(monkeypatch):
@@ -410,16 +408,15 @@ def _flip_certified(doc):
 
 
 def test_k_above_n_is_verified_by_nondegeneracy(monkeypatch):
-    monkeypatch.setattr(products, "enumerate_isotropic", _refuse_enumeration)
-    monkeypatch.setattr(verify, "enumerate_isotropic", _refuse_enumeration)
+    monkeypatch.setattr(symplectic, "_isotropic_with_pivots", _refuse_search)
     spec = olshanskii_search(4, 4, 3, seed=7)
     doc = certdoc.build_document(
         "olshanskii", "olshanskii", {"n": 4, "r": 4, "p": 3, "seed": 7}, certdoc.olshanskii_payload(spec, None)
     )
-    report = verify_document(reserialize(doc))
+    report = verify_document(reserialize(doc), budget=1)
     assert report.ok, report.failures()
     checks = {result.name: result for result in report.results}
-    assert checks["isotropic_enumeration"].detail == "nondegeneracy: k=6 > n=4"
+    assert checks["isotropic_enumeration"].detail == ""
     flipped = verify_document(_flip_certified(doc))
     assert [result.name for result in flipped.failures()] == ["isotropic_enumeration"]
 
@@ -438,9 +435,17 @@ def test_k_at_most_n_is_verified_by_enumeration(monkeypatch):
 def test_exact_dimension_is_searched_from_n_down(monkeypatch):
     doc = olshanskii_doc(2, 2, 3, seed=1)  # k = 6, and two forms share an isotropic plane
     assert doc["certificate"]["bound"]["max_common_isotropic_dim"] == 2
-    calls = _count_enumerations(monkeypatch)
+    searched = []
+    search = symplectic._isotropic_with_pivots
+
+    def recording(normals, dim, p, pivots):
+        searched.append(len(pivots))
+        return search(normals, dim, p, pivots)
+
+    monkeypatch.setattr(symplectic, "_isotropic_with_pivots", recording)
     assert verify_document(reserialize(doc)).ok
-    assert calls == [2]
+    # k = 6 and the dimensions 5..3 above n are settled without a search
+    assert set(searched) == {2}
 
 
 def test_singular_matrix_fails_invertibility():
@@ -461,7 +466,7 @@ def test_tall_matrix_fails_params():
 
 def test_checks_computed_before_a_malformed_field_are_kept():
     doc = json.loads(json.dumps(olshanskii_doc(1, 2, 3)))
-    doc["certificate"]["k"] = -1
+    del doc["certificate"]["bound"]["exact_abelian_exponent"]
     report = verify_document(fix_digest(doc))
     names = [result.name for result in report.results]
     assert names == [
@@ -471,9 +476,10 @@ def test_checks_computed_before_a_malformed_field_are_kept():
         "matrices_invertible",
         "form_congruence",
         "bound_exponents",
+        "isotropic_enumeration",
         "well_formed",
     ]
-    assert [result.name for result in report.failures()] == ["k_choice", "bound_exponents", "well_formed"]
+    assert [result.name for result in report.failures()] == ["well_formed"]
 
 
 @pytest.mark.parametrize(
