@@ -98,13 +98,29 @@ def decode_fraction(value: Any) -> Fraction:
     return Fraction(decode_int(value["num"]), decode_int(value["den"]))
 
 
+# The entry types of a list of plain ints: a bool or an int subclass is not one.
+_PLAIN_INT = {int}
+
+
 def encode_int_list(values) -> list[int | str]:
+    """encode_int of each entry; a list of plain ints within 2**53 is copied as it is."""
+    values = list(values)
+    if (
+        values
+        and set(map(type, values)) <= _PLAIN_INT
+        and -_SAFE_INT_BOUND <= min(values)
+        and max(values) <= _SAFE_INT_BOUND
+    ):
+        return values
     return [encode_int(v) for v in values]
 
 
 def decode_int_list(values: Any) -> list[int]:
+    """decode_int of each entry; a list of plain ints is copied as it is."""
     if not isinstance(values, list):
         raise ParseError(f"expected a list, got {type(values).__name__}")
+    if set(map(type, values)) <= _PLAIN_INT:
+        return values[:]
     return [decode_int(v) for v in values]
 
 

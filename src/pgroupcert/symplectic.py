@@ -9,6 +9,9 @@ unique canonical form, so subspace equality is matrix equality and
 enumeration by pivot pattern visits every subspace exactly once.  The
 number of k-dimensional subspaces of F_p^m is the Gaussian binomial
 coefficient; it gates each exhaustive enumeration against a budget.
+Rank, and so invertibility and the nondegeneracy of a form, is decided by
+forward elimination alone; back-substitution runs only where a canonical
+basis is wanted, in rref_mod_p.
 
 The isotropic search grows echelon bases row by row and prunes a partial
 basis as soon as two of its rows pair nonzero under some form, so it
@@ -70,34 +73,55 @@ def _as_matrix(rows: Sequence[Sequence[int]], p: int) -> Matrix:
     return tuple(tuple(int(x) % p for x in row) for row in rows)
 
 
-def rref_mod_p(rows: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form over F_p; returns (nonzero rows, pivot columns)."""
-    work = [list(int(x) % p for x in row) for row in rows]
-    if not work:
-        return [], []
-    cols = len(work[0])
+def _echelon_mod_p(work: list[list[int]], p: int) -> list[int]:
+    """Forward elimination over F_p in place; returns the pivot columns.
+
+    The entries of work must already lie in range(p).  Afterwards its first
+    len(pivots) rows are in row echelon form and the rows below them are
+    zero: only the rows under each pivot are eliminated, and no row is scaled.
+    """
     pivots: list[int] = []
+    height = len(work)
     r = 0
-    for c in range(cols):
-        pivot_row = next((i for i in range(r, len(work)) if work[i][c] % p), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = pow(work[r][c], -1, p)
-        work[r] = [x * inv % p for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [(a - f * b) % p for a, b in zip(work[i], work[r])]
+    for c in range(len(work[0]) if work else 0):
+        if not work[r][c]:
+            below = next((i for i in range(r + 1, height) if work[i][c]), None)
+            if below is None:
+                continue
+            work[r], work[below] = work[below], work[r]
+        top = work[r]
+        inv = pow(top[c], -1, p)
+        for i in range(r + 1, height):
+            f = work[i][c]
+            if f:
+                f = f * inv % p
+                work[i] = [(a - f * b) % p for a, b in zip(work[i], top)]
         pivots.append(c)
         r += 1
-        if r == len(work):
+        if r == height:
             break
-    return work[:r], pivots
+    return pivots
+
+
+def rref_mod_p(rows: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over F_p; returns (nonzero rows, pivot columns)."""
+    work = [[int(x) % p for x in row] for row in rows]
+    pivots = _echelon_mod_p(work, p)
+    # Back-substitution, last pivot first: scale each pivot row to a leading 1
+    # and clear its pivot column above it.
+    for r in range(len(pivots) - 1, -1, -1):
+        c = pivots[r]
+        inv = pow(work[r][c], -1, p)
+        row = work[r] = [x * inv % p for x in work[r]]
+        for i in range(r):
+            f = work[i][c]
+            if f:
+                work[i] = [(a - f * b) % p for a, b in zip(work[i], row)]
+    return work[: len(pivots)], pivots
 
 
 def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
-    return len(rref_mod_p(rows, p)[0])
+    return len(_echelon_mod_p([[int(x) % p for x in row] for row in rows], p))
 
 
 def is_invertible(matrix: Sequence[Sequence[int]], p: int) -> bool:
@@ -110,7 +134,7 @@ def random_invertible(dim: int, p: int, rng: random.Random) -> Matrix:
     while True:
         candidate = [[rng.randrange(p) for _ in range(dim)] for _ in range(dim)]
         if is_invertible(candidate, p):
-            return _as_matrix(candidate, p)
+            return tuple(map(tuple, candidate))
 
 
 class _FormFields(NamedTuple):
@@ -133,11 +157,13 @@ class SymplecticForm(_FormFields):
             raise ValueError("form matrix must be square")
         if dim % 2:
             raise ValueError("symplectic forms need even dimension")
-        for i in range(dim):
-            if matrix[i][i] % p:
+        # The antisymmetry test is symmetric in i and j, so each pair i < j is
+        # tested once, in the order a full row-major scan first fails it.
+        for i, row in enumerate(matrix):
+            if row[i] % p:
                 raise ValueError(f"nonzero diagonal entry at {i}")
-            for j in range(dim):
-                if (matrix[i][j] + matrix[j][i]) % p:
+            for j in range(i + 1, dim):
+                if (row[j] + matrix[j][i]) % p:
                     raise ValueError(f"matrix is not antisymmetric at ({i},{j})")
         if rank_mod_p(matrix, p) != dim:
             raise ValueError("form is degenerate")
@@ -161,11 +187,33 @@ class SymplecticForm(_FormFields):
         return total % self.p
 
     def pullback(self, a: Sequence[Sequence[int]]) -> "SymplecticForm":
-        """The form (u,v) -> self(Au, Av), i.e. Gram matrix A^T M A."""
+        """The form (u,v) -> self(Au, Av), i.e. Gram matrix A^T M A.
+
+        Each row of M A is built as a combination of the rows of A, so a zero
+        entry of M costs nothing: the standard form has one nonzero per row.
+        M is antisymmetric with zero diagonal mod p, and so is A^T M A: only
+        the entries above the diagonal are computed, and each entry below it
+        is the negative of its mirror.
+        """
+        p = self.p
         cols = list(zip(*a))
-        images = [tuple(sum(map(mul, row, col)) for row in self.matrix) for col in cols]
-        gram = tuple(tuple(sum(map(mul, u, v)) % self.p for v in images) for u in cols)
-        return SymplecticForm(self.p, gram)
+        dim = len(cols)
+        ma = []
+        for m_row in self.matrix:
+            acc = [0] * dim
+            for m, a_row in zip(m_row, a):
+                if m:
+                    acc = [x + m * y for x, y in zip(acc, a_row)]
+            ma.append(acc)
+        images = list(zip(*ma))
+        gram = [[0] * dim for _ in range(dim)]
+        for i, u in enumerate(cols):
+            upper = gram[i]
+            for j in range(i + 1, dim):
+                x = sum(map(mul, u, images[j])) % p
+                upper[j] = x
+                gram[j][i] = -x % p
+        return SymplecticForm(p, tuple(map(tuple, gram)))
 
 
 @lru_cache(maxsize=64)

@@ -491,15 +491,19 @@ def _verify_olshanskii(cert: dict, digest_ok: bool, budget: int, out: list[Check
     )
     out.append(_check("bound_exponents", exponents_ok, "bound exponent arithmetic is off"))
 
+    # A stored bound is checked by exact_abelian_bound, so a document that
+    # cannot be searched reports that check as not run too, never drops it.
+    bound = cert.get("bound")
+    if bound is not None and not isinstance(bound, dict):
+        raise TypeError(f"bound must be an object, got {type(bound).__name__}")
+    has_bound = bound is not None and bound.get("max_common_isotropic_dim") is not None
+    searches = ("isotropic_enumeration", "exact_abelian_bound")[: 1 + has_bound]
     if not digest_ok:
-        out.append(_skipped("isotropic_enumeration"))
+        out.extend(map(_skipped, searches))
         return
-    if not congruent:
-        out.append(CheckResult("isotropic_enumeration", False, "not run: forms invalid"))
-        return
-    if not k_ok:
-        for name in ("isotropic_enumeration", "exact_abelian_bound"):
-            out.append(CheckResult(name, False, "not run: k invalid"))
+    if not (congruent and k_ok):
+        reason = "k invalid" if congruent else "forms invalid"
+        out.extend(CheckResult(name, False, f"not run: {reason}") for name in searches)
         return
 
     try:
@@ -516,8 +520,7 @@ def _verify_olshanskii(cert: dict, digest_ok: bool, budget: int, out: list[Check
         )
     )
 
-    bound = cert.get("bound")
-    if bound is not None and bound.get("max_common_isotropic_dim") is not None:
+    if has_bound:
         stored_d = decode_int(bound["max_common_isotropic_dim"])
         try:
             d_exact = max_common_isotropic_dim(forms, k, budget=budget)

@@ -2,6 +2,7 @@
 
 import functools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -16,9 +17,11 @@ from pgroupcert.symplectic import (
     gaussian_binomial,
     is_invertible,
     random_invertible,
+    rank_mod_p,
     rref_mod_p,
 )
 from pgroupcert import symplectic
+from form_oracle import full_pullback_gram, row_space
 from subspace_oracle import enumerate_subspaces, isotropic_by_pivot_walk
 
 
@@ -56,6 +59,86 @@ def test_rref_canonical():
     rows, pivots = rref_mod_p([[2, 4, 0], [1, 2, 1]], 5)
     assert rows == [[1, 2, 0], [0, 0, 1]]
     assert pivots == [0, 2]
+
+
+@st.composite
+def _small_matrices(draw):
+    """Matrices of any shape over F_3, F_5 or F_7, entries outside range(p) included,
+    with zero rows, repeated rows and multiples of rows mixed in."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    width = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(-p, 2 * p), min_size=width, max_size=width), max_size=4))
+    if draw(st.booleans()):
+        rows.append([0] * width)
+    if rows and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    if rows and draw(st.booleans()):
+        c = draw(st.integers(2, p - 1))
+        rows.append([c * x for x in draw(st.sampled_from(rows))])
+    return p, width, draw(st.permutations(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_small_matrices())
+def test_elimination_agrees_with_the_row_space(case):
+    p, width, rows = case
+    span = row_space(rows, p, width)
+    rank = rank_mod_p(rows, p)
+    assert p**rank == len(span)
+    if rows and len(rows) == width:
+        assert is_invertible(rows, p) == (rank == width)
+    reduced, pivots = rref_mod_p(rows, p)
+    basis = tuple(map(tuple, reduced))
+    assert Subspace(p, basis).basis == basis
+    assert len(pivots) == rank
+    assert row_space(reduced, p, width) == span
+
+
+@pytest.mark.parametrize("n, p", [(1, 3), (2, 3), (2, 5), (3, 7), (4, 3)])
+def test_pullback_matches_the_full_product(n, p):
+    rng = random.Random(100 * n + p)
+    standard = SymplecticForm.standard(n, p)
+    for _ in range(5):
+        a = random_invertible(2 * n, p, rng)
+        b = random_invertible(2 * n, p, rng)
+        pulled = standard.pullback(a)
+        assert pulled.matrix == full_pullback_gram(standard.matrix, a, p)
+        # A non-standard M: a pullback of a pullback.
+        assert pulled.pullback(b).matrix == full_pullback_gram(pulled.matrix, b, p)
+        # M and A with entries outside range(p) give the same form as their residues.
+        shifted = tuple(tuple(x + p * rng.randrange(-2, 3) for x in row) for row in pulled.matrix)
+        b_shifted = tuple(tuple(x + p * rng.randrange(-2, 3) for x in row) for row in b)
+        expected = full_pullback_gram(pulled.matrix, b, p)
+        assert SymplecticForm(p, shifted).pullback(b_shifted).matrix == expected
+
+
+def test_pullback_by_a_singular_matrix_is_degenerate():
+    with pytest.raises(ValueError, match="form is degenerate"):
+        SymplecticForm.standard(2, 5).pullback(((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0)))
+
+
+@pytest.mark.parametrize(
+    "faults, message",
+    [
+        # One pair off, at either of its two entries.
+        ([(1, 3)], "matrix is not antisymmetric at (1,3)"),
+        ([(3, 1)], "matrix is not antisymmetric at (1,3)"),
+        ([(0, 1)], "matrix is not antisymmetric at (0,1)"),
+        ([(1, 0)], "matrix is not antisymmetric at (0,1)"),
+        # Several faults: the first in a row-major scan is named.
+        ([(2, 2), (3, 1)], "matrix is not antisymmetric at (1,3)"),
+        ([(1, 1), (2, 0)], "matrix is not antisymmetric at (0,2)"),
+        ([(1, 2), (3, 0)], "matrix is not antisymmetric at (0,3)"),
+        ([(2, 1), (3, 2)], "matrix is not antisymmetric at (1,2)"),
+        ([(3, 2), (2, 2)], "nonzero diagonal entry at 2"),
+    ],
+)
+def test_a_form_fault_is_named_by_the_first_pair_a_row_major_scan_meets(faults, message):
+    bad = [list(row) for row in SymplecticForm.standard(2, 5).matrix]
+    for i, j in faults:
+        bad[i][j] = (bad[i][j] + 1) % 5
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SymplecticForm(5, tuple(map(tuple, bad)))
 
 
 def test_subspace_uniqueness():

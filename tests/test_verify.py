@@ -454,7 +454,45 @@ def test_singular_matrix_fails_invertibility():
     report = verify_document(fix_digest(doc))
     assert report.results[0].passed
     failed = [result.name for result in report.failures()]
-    assert failed == ["matrices_invertible", "form_congruence", "isotropic_enumeration"]
+    assert failed == ["matrices_invertible", "form_congruence", "isotropic_enumeration", "exact_abelian_bound"]
+
+
+@pytest.mark.parametrize("stored_bound", [True, False], ids=["bound", "no-bound"])
+@pytest.mark.parametrize(
+    "fault, reason",
+    [
+        ("digest", "document already failed integrity"),
+        ("forms", "forms invalid"),
+        ("k", "k invalid"),
+    ],
+)
+def test_unsearchable_document_reports_its_search_checks_not_run(fault, reason, stored_bound):
+    # Every check the document asks for is reported: a stored bound is
+    # checked by exact_abelian_bound, so it is not run, never dropped.
+    doc = json.loads(json.dumps(olshanskii_doc(1, 2, 3)))
+    if not stored_bound:
+        del doc["certificate"]["bound"]
+    if fault == "forms":
+        doc["certificate"]["forms"][0] = [[0, 2], [1, 0]]
+    if fault == "k":
+        doc["certificate"]["k"] = 0
+    doc = fix_digest(doc)
+    if fault == "digest":
+        doc["digest"] = "0" * 64
+    report = verify_document(doc)
+    names = ["isotropic_enumeration", "exact_abelian_bound"][: 1 + stored_bound]
+    assert report.results[-len(names):] == [verify.CheckResult(name, False, f"not run: {reason}") for name in names]
+    assert report.results[-len(names) - 1].name == "bound_exponents"
+
+
+@pytest.mark.parametrize("bound", [[1], "x", 5])
+def test_bound_that_is_not_an_object_fails_well_formed(bound):
+    doc = json.loads(json.dumps(olshanskii_doc(1, 2, 3)))
+    doc["certificate"]["bound"] = bound
+    report = verify_document(fix_digest(doc))
+    assert report.results[-1].name == "well_formed"
+    assert report.results[-1].detail.startswith("malformed certificate: bound must be an object")
+    assert [result.name for result in report.failures()] == ["well_formed"]
 
 
 def test_tall_matrix_fails_params():
