@@ -53,6 +53,6 @@ print("\n-- the same thing, packaged as a certificate --")
 cert = certify(n, 1, p)
 print(f"overall pass: {cert.overall_pass}")
 print(f"rank of the flat bundle: {cert.rank} (= n+1 + n(n+1)/2 * n!)")
-print(f"group order p^{cert.group_order_exponent} = {cert.group_order}, "
-      f"abelian bound p^{cert.abelian_exponent}, "
-      f"abelian fraction {cert.lambda_gamma}")
+print(f"group order p^{cert.row.order_exponent} = {cert.group_order}, "
+      f"abelian bound p^{cert.row.abelian_exponent}, "
+      f"abelian fraction {cert.row.bound}")

@@ -3,7 +3,7 @@
 Gluing r Heisenberg factors along invertible matrices A_1..A_r produces a
 group of order p^(2n+r) whose abelian subgroups project to subspaces
 isotropic for every pulled-back form simultaneously.  If no k-dimensional
-subspace survives all r forms, abelian subgroups top out at p^(r+k).
+subspace survives all r forms, abelian subgroups top out at p^(r + min(k, 2n)).
 
 enumerate_isotropic decides that, and it is the one place the rank argument
 lives: each pulled-back form is nondegenerate, and a nondegenerate form on
@@ -25,8 +25,8 @@ print("-- small case: n=1, r=2, p=3 (k = 4 exceeds the ambient dimension 2) --")
 spec = olshanskii_search(1, 2, 3, seed=7)
 bound = product_subgroup_bound(spec)
 print(f"certified: {spec.certified}, k = {spec.k}")
-print(f"group order exponent {bound.order_exponent}, structural abelian exponent "
-      f"{bound.abelian_exponent}")
+print(f"group order exponent {spec.row.order_exponent}, structural abelian exponent "
+      f"{spec.row.abelian_exponent}")
 print(f"exact: max common-isotropic dimension {bound.max_common_isotropic_dim} "
       f"=> max abelian order is p^{bound.exact_abelian_exponent}")
 
@@ -38,8 +38,8 @@ print(f"k = {spec44.k} > n = {spec44.n}: no 6-dimensional subspace of F_3^8 is i
       f"for even one nondegenerate form")
 print(f"certified: {spec44.certified} in {elapsed * 1000:.1f} ms, no subspace enumerated "
       f"({len(spec44.transcript['attempts'])} attempt(s))")
-print(f"bound exponents: order {spec44.order_exponent}, abelian {spec44.abelian_exponent}")
-print(f"abelian fraction bound: {spec44.abelian_exponent}/{spec44.order_exponent}")
+print(f"bound exponents: order {spec44.row.order_exponent}, abelian {spec44.row.abelian_exponent}")
+print(f"abelian fraction bound: {spec44.row.bound}")
 
 print("\n-- the rank argument, where enumerate_isotropic applies it --")
 print(f"6-dimensional subspaces of F_3^8: {gaussian_binomial(8, 6, 3)}")
@@ -57,4 +57,4 @@ print(f"3-dimensional subspaces of F_3^6 the search decides: "
       f"{spec73.transcript['subspaces_examined_per_attempt']}")
 print(f"certified: {spec73.certified} in {elapsed * 1000:.1f} ms "
       f"({len(spec73.transcript['attempts'])} attempt(s))")
-print(f"bound exponents: order {spec73.order_exponent}, abelian {spec73.abelian_exponent}")
+print(f"bound exponents: order {spec73.row.order_exponent}, abelian {spec73.row.abelian_exponent}")

@@ -25,16 +25,16 @@ _MODULE_EXPORTS = {
         "symmetrization_coefficients",
     ),
     "groups": (
+        "LambdaRow",
         "brute_force_lambda",
+        "epsilon_witness",
         "group_order",
         "max_abelian_exponent",
         "max_abelian_order",
     ),
     "products": (
-        "LambdaRow",
         "ProductBound",
         "ProductSubgroupSpec",
-        "isotropy_free_dimension",
         "olshanskii_search",
         "product_subgroup_bound",
     ),
@@ -49,7 +49,6 @@ _MODULE_EXPORTS = {
         "SearchExhausted",
         "certify",
         "compute_M",
-        "epsilon_witness",
         "find_prime",
         "find_roots",
         "lambda_table",

@@ -24,7 +24,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
-    from .products import LambdaRow, ProductBound, ProductSubgroupSpec
+    from .groups import LambdaRow
+    from .products import ProductBound, ProductSubgroupSpec
     from .series import OmegaSeries
     from .solver import ConstructionCertificate
 
@@ -85,6 +86,12 @@ def decode_int(value: Any) -> int:
         except ValueError as exc:
             raise ParseError(f"bad integer literal {value!r}") from exc
     raise ParseError(f"expected an integer, got {type(value).__name__}")
+
+
+def decode_bool(value: Any) -> bool:
+    if not isinstance(value, bool):
+        raise ParseError(f"expected a boolean, got {type(value).__name__}")
+    return value
 
 
 def encode_fraction(value: Fraction | int) -> dict[str, str]:
@@ -227,11 +234,11 @@ def construction_payload(cert: ConstructionCertificate) -> dict[str, Any]:
         "tau_note": cert.tau_note,
         "tau_best_known": encode_int(cert.tau_best_known),
         "group": {
-            "order_exponent": cert.group_order_exponent,
+            "order_exponent": cert.row.order_exponent,
             "order": encode_int(cert.group_order),
-            "abelian_exponent": cert.abelian_exponent,
-            "abelian_bound_conditional": cert.abelian_bound_conditional,
-            "lambda": encode_fraction(cert.lambda_gamma),
+            "abelian_exponent": cert.row.abelian_exponent,
+            "abelian_bound_conditional": cert.row.k is not None,
+            "lambda": encode_fraction(cert.row.bound),
         },
         "checks": dict(sorted(cert.checks.items())),
         "overall_pass": cert.overall_pass,
@@ -268,6 +275,7 @@ def group_report_payload(
 
 
 def olshanskii_payload(spec: ProductSubgroupSpec, bound: ProductBound | None) -> dict[str, Any]:
+    row = spec.row
     transcript = dict(spec.transcript)
     examined = transcript.get("subspaces_examined_per_attempt")
     if examined is not None:
@@ -281,13 +289,13 @@ def olshanskii_payload(spec: ProductSubgroupSpec, bound: ProductBound | None) ->
         "forms": [encode_matrix(f.matrix) for f in spec.forms],
         "certified": spec.certified,
         "transcript": transcript,
-        "order_exponent": spec.order_exponent,
-        "abelian_exponent": spec.abelian_exponent,
+        "order_exponent": row.order_exponent,
+        "abelian_exponent": row.abelian_exponent,
     }
     if bound is not None:
         payload["bound"] = {
-            "order_exponent": bound.order_exponent,
-            "abelian_exponent": bound.abelian_exponent,
+            "order_exponent": row.order_exponent,
+            "abelian_exponent": row.abelian_exponent,
             "exact_abelian_exponent": bound.exact_abelian_exponent,
             "max_common_isotropic_dim": bound.max_common_isotropic_dim,
         }

@@ -18,7 +18,14 @@ from fractions import Fraction
 from typing import NoReturn
 
 from . import certdoc, primes, solver
-from .groups import DEFAULT_BRUTE_BUDGET, MAX_GROUP_N, brute_force_lambda, group_order, max_abelian_exponent
+from .groups import (
+    DEFAULT_BRUTE_BUDGET,
+    MAX_GROUP_N,
+    brute_force_lambda,
+    epsilon_witness,
+    group_order,
+    max_abelian_exponent,
+)
 from .products import DEFAULT_SEARCH_ATTEMPTS, olshanskii_search, product_subgroup_bound
 from .symplectic import DEFAULT_SUBSPACE_BUDGET, BudgetExceeded
 from .verify import verify_document
@@ -117,14 +124,14 @@ def olshanskii(args: argparse.Namespace) -> int:
 
 
 def lambda_table(args: argparse.Namespace) -> int:
-    """Tabulate the abelian-fraction bounds (n+1)/(2n+1) and (r+k)/(2n+r)."""
+    """Tabulate the abelian-fraction bounds (n+1)/(2n+1) and (r+min(k,2n))/(2n+r)."""
     max_n, max_r, epsilon = args.max_n, args.max_r, args.epsilon
     try:
         rows = solver.lambda_table(max_n, max_r)
         eps = Fraction(epsilon) if epsilon is not None else None
     except (solver.PreconditionError, ValueError, ZeroDivisionError) as exc:
         raise UsageError(str(exc)) from exc
-    witness = solver.epsilon_witness(rows, eps) if eps is not None else None
+    witness = epsilon_witness(rows, eps) if eps is not None else None
     if args.fmt == "csv":
         lines = ["n,r,k,abelian_exponent,order_exponent,bound"]
         for row in rows:

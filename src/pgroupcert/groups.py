@@ -11,6 +11,8 @@ symplectic form omega and f the central generator (0, 0, 1); the sign is
 pinned by the test suite via [a_i, b_i] = f.
 
 The law is written once, in group_law, on coordinate tuples x + y + (z,).
+The abelian-fraction bound of r such groups glued along a form family is
+derived once too, in lambda_row, which producer and verifier both read.
 Two independent routes to the maximal-abelian-subgroup order are
 provided.  The structural one proves attainment by a closed form (the
 span {(x, 0, z)} is abelian of order p^(n+1), checked on its generators
@@ -26,7 +28,7 @@ import itertools
 import operator
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .symplectic import (
     DEFAULT_SUBSPACE_BUDGET,
@@ -59,6 +61,60 @@ def group_law(p: int, g: Coords, h: Coords) -> Coords:
 
 def group_order(n: int, p: int) -> int:
     return p ** (2 * n + 1)
+
+
+class LambdaRow(NamedTuple):
+    """One (n, r) entry of the abelian-fraction bound table.
+
+    ``bound`` = abelian_exponent / order_exponent bounds
+    log|A|/log|Gamma| over abelian subgroups A of a group of order
+    p^order_exponent.  ``exponent_form_exact`` records whether r | 4n, in
+    which case the standard choice of k makes r + k exactly 2 + r + 4n/r.
+    """
+
+    n: int
+    r: int
+    k: int | None
+    abelian_exponent: int
+    order_exponent: int
+    bound: Fraction
+    exponent_form_exact: bool
+
+
+def lambda_row(n: int, r: int, k: int | None = None) -> LambdaRow:
+    """The abelian-subgroup bound for r glued copies of the group on (n, p); the one place it is derived.
+
+    The group has order p^(2n+r).  For r = 1 it is the Heisenberg group
+    itself, whose abelian subgroups have at most p^(n+1) elements, and k
+    is None.  For r > 1 the bound assumes a form family with no common
+    isotropic k-space, and abelian subgroups then have at most
+    p^(r + min(k, 2n)) elements.  Unless given, k = floor(4n/r) + 2: the
+    least k with 4n < r(k-1), since k - 1 = floor(4n/r) + 1 > 4n/r.
+    """
+    if r == 1:
+        abelian, k = n + 1, None
+    else:
+        if k is None:
+            k = 4 * n // r + 2
+        abelian = r + min(k, 2 * n)
+    order = 2 * n + r
+    return LambdaRow(
+        n=n,
+        r=r,
+        k=k,
+        abelian_exponent=abelian,
+        order_exponent=order,
+        bound=Fraction(abelian, order),
+        exponent_form_exact=(4 * n) % r == 0,
+    )
+
+
+def epsilon_witness(rows: list[LambdaRow], epsilon: Fraction) -> LambdaRow | None:
+    """The first row (ordered by n, then r) whose bound is strictly below epsilon."""
+    for row in sorted(rows, key=lambda row: (row.n, row.r)):
+        if row.bound < epsilon:
+            return row
+    return None
 
 
 def _all_coords(n: int, p: int, budget: int) -> list[Coords]:

@@ -6,7 +6,8 @@ the tuples (g_1, ..., g_r) whose projections satisfy A_1^-1 eta(g_1) =
 exactly when the common projection vectors are orthogonal for every
 pulled-back form omega_j = omega(A_j . , A_j . ).  So if no k-dimensional
 subspace is isotropic for all the omega_j simultaneously, abelian
-subgroups have at most p^(r+k) elements.
+subgroups have at most p^(r + min(k, 2n)) elements: groups.lambda_row
+derives that bound, and k, for every layer.
 
 Families certifying that property exist whenever 4n < r(k-1); the search
 below samples matrices pseudorandomly (seeded) and never reports a family
@@ -18,9 +19,9 @@ argument, which lives there alone, when k > n.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import NamedTuple
 
+from .groups import lambda_row
 from .primes import is_prime
 from .symplectic import (
     DEFAULT_SUBSPACE_BUDGET,
@@ -37,63 +38,6 @@ from .symplectic import (
 DEFAULT_SEARCH_ATTEMPTS = 20
 
 
-def isotropy_free_dimension(n: int, r: int) -> int:
-    """The target dimension k = floor(4n/r) + 2; always satisfies 4n < r(k-1).
-
-    When r divides 4n this is exactly 2 + 4n/r; otherwise it is the
-    smallest integer choice compatible with the same inequality.
-    """
-    k = 4 * n // r + 2
-    assert 4 * n < r * (k - 1)
-    return k
-
-
-class LambdaRow(NamedTuple):
-    """One (n, r) entry of the abelian-fraction bound table.
-
-    ``bound`` = abelian_exponent / order_exponent bounds
-    log|A|/log|Gamma| over abelian subgroups A of a group of order
-    p^order_exponent.  lambda_row is the one place these numbers are
-    derived.  ``exponent_form_exact`` records whether r | 4n, in which
-    case the standard choice of k makes r + k exactly 2 + r + 4n/r.
-    """
-
-    n: int
-    r: int
-    k: int | None
-    abelian_exponent: int
-    order_exponent: int
-    bound: Fraction
-    exponent_form_exact: bool
-
-
-def lambda_row(n: int, r: int, k: int | None = None) -> LambdaRow:
-    """The abelian-subgroup bound for r glued copies of the group on (n, p).
-
-    The group has order p^(2n+r).  For r = 1 it is the Heisenberg group
-    itself, whose abelian subgroups have at most p^(n+1) elements, and k
-    is None.  For r > 1 the bound assumes a form family with no common
-    isotropic k-space, k = isotropy_free_dimension(n, r) unless given,
-    and abelian subgroups then have at most p^(r + min(k, 2n)) elements.
-    """
-    if r == 1:
-        abelian, k = n + 1, None
-    else:
-        if k is None:
-            k = isotropy_free_dimension(n, r)
-        abelian = r + min(k, 2 * n)
-    order = 2 * n + r
-    return LambdaRow(
-        n=n,
-        r=r,
-        k=k,
-        abelian_exponent=abelian,
-        order_exponent=order,
-        bound=Fraction(abelian, order),
-        exponent_form_exact=(4 * n) % r == 0,
-    )
-
-
 class ProductSubgroupSpec:
     """A family of matrices defining the product subgroup, its forms, and its verification state.
 
@@ -101,11 +45,12 @@ class ProductSubgroupSpec:
     they are derived here rather than passed in.  For a square A and an
     invertible M, A^T M A is invertible exactly when A is, so the rank
     check each pulled-back form runs is also the invertibility check of
-    its matrix.  ``certified`` and ``transcript`` are filled in by the
-    search; the rest is fixed at construction.
+    its matrix.  ``row`` is the lambda_row at this family's k, which holds
+    the structural bound exponents.  ``certified`` and ``transcript`` are
+    filled in by the search; the rest is fixed at construction.
     """
 
-    __slots__ = ("n", "p", "r", "k", "mats", "certified", "transcript", "forms")
+    __slots__ = ("n", "p", "r", "k", "mats", "certified", "transcript", "forms", "row")
 
     def __init__(
         self,
@@ -136,15 +81,7 @@ class ProductSubgroupSpec:
         self.certified = certified
         self.transcript = {} if transcript is None else transcript
         self.forms = tuple(forms)
-
-    @property
-    def order_exponent(self) -> int:
-        return lambda_row(self.n, self.r, self.k).order_exponent
-
-    @property
-    def abelian_exponent(self) -> int:
-        """Structural bound exponent, from lambda_row at this family's k."""
-        return lambda_row(self.n, self.r, self.k).abelian_exponent
+        self.row = lambda_row(n, r, k)
 
 
 def identity_matrix(dim: int) -> Matrix:
@@ -182,7 +119,7 @@ def olshanskii_search(
         )
     if p % 2 == 0 or not is_prime(p):
         raise ValueError(f"p={p} is not an odd prime")
-    k = isotropy_free_dimension(n, r)
+    k = lambda_row(n, r).k
     total = gaussian_binomial(2 * n, k, p)
     rng = random.Random(seed)
     transcript: dict = {"seed": seed, "attempts": [], "subspaces_examined_per_attempt": total}
@@ -201,8 +138,8 @@ def olshanskii_search(
 
 
 class ProductBound(NamedTuple):
-    order_exponent: int
-    abelian_exponent: int
+    """The exact bound of a certified family; its structural exponents are the family's row."""
+
     exact_abelian_exponent: int | None
     max_common_isotropic_dim: int | None
 
@@ -210,13 +147,13 @@ class ProductBound(NamedTuple):
 def product_subgroup_bound(
     spec: ProductSubgroupSpec, exact_budget: int = DEFAULT_SUBSPACE_BUDGET
 ) -> ProductBound:
-    """Bound exponents (order, abelian) for a certified family.
+    """The exact abelian exponent of a certified family, where the budget allows.
 
-    Structurally the abelian exponent is r + min(k, 2n).  When the
-    enumerations fit the budget, the exact maximal common-isotropic
-    dimension d < k is computed as well, by max_common_isotropic_dim,
-    giving the exact maximal abelian order p^(r+d) (the preimage of a
-    maximal common-isotropic subspace is abelian and attains it).
+    When the enumerations fit the budget, the exact maximal common-isotropic
+    dimension d < k is computed by max_common_isotropic_dim, giving the
+    exact maximal abelian order p^(r+d) (the preimage of a maximal
+    common-isotropic subspace is abelian and attains it).  Otherwise both
+    fields are None.
     """
     if not spec.certified:
         raise ValueError("bounds are only reported for certified families")
@@ -225,8 +162,6 @@ def product_subgroup_bound(
     except BudgetExceeded:
         d_exact = None
     return ProductBound(
-        order_exponent=spec.order_exponent,
-        abelian_exponent=spec.abelian_exponent,
         exact_abelian_exponent=None if d_exact is None else spec.r + d_exact,
         max_common_isotropic_dim=d_exact,
     )

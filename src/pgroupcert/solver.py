@@ -28,8 +28,7 @@ from typing import NamedTuple
 
 from . import certdoc, primes
 from .exterior import MAX_SYMMETRIZATION_N, atilde_table, omega_power_table
-from .groups import max_abelian_exponent
-from .products import LambdaRow, lambda_row
+from .groups import LambdaRow, lambda_row, max_abelian_exponent
 from .series import OmegaSeries, chern_G, direct_sum
 
 DEFAULT_PRIME_CEILING = 10**6
@@ -317,11 +316,10 @@ class ConstructionCertificate(NamedTuple):
     tau: int
     tau_note: str
     tau_best_known: int
-    group_order_exponent: int
+    #: The abelian-subgroup bound of the group on (n, p) with r factors;
+    #: for r > 1 it is conditional on a form family (row.k is not None).
+    row: LambdaRow
     group_order: int
-    abelian_exponent: int
-    abelian_bound_conditional: bool
-    lambda_gamma: Fraction
     checks: dict[str, bool]
     notes: list[str]
     assumptions: tuple[str, ...] = CITED_ASSUMPTIONS
@@ -419,11 +417,9 @@ def certify(n: int, r: int, p: int, lift: str = "nonneg") -> ConstructionCertifi
             f"{row.abelian_exponent}"
         )
     checks["abelian_bound_recorded"] = True
-    # The bound for r > 1 rests on a form family with no common isotropic k-space.
-    conditional = row.k is not None
 
     notes = _omega_power_notes(n)
-    if conditional:
+    if row.k is not None:
         notes.append(
             "the abelian bound for r > 1 assumes a certified family of symplectic "
             "forms with no common isotropic subspace of the target dimension; "
@@ -458,11 +454,8 @@ def certify(n: int, r: int, p: int, lift: str = "nonneg") -> ConstructionCertifi
         tau=rank,
         tau_note="rank of the constructed bundle; stable-triviality padding not included",
         tau_best_known=tau_best_known,
-        group_order_exponent=row.order_exponent,
+        row=row,
         group_order=p**row.order_exponent,
-        abelian_exponent=row.abelian_exponent,
-        abelian_bound_conditional=conditional,
-        lambda_gamma=row.bound,
         checks=checks,
         notes=notes,
     )
@@ -503,10 +496,3 @@ def lambda_table(max_n: int, max_r: int) -> list[LambdaRow]:
         )
     return [lambda_row(n, r) for n in range(1, max_n + 1) for r in range(1, max_r + 1)]
 
-
-def epsilon_witness(rows: list[LambdaRow], epsilon: Fraction) -> LambdaRow | None:
-    """The first row (ordered by n, then r) whose bound is strictly below epsilon."""
-    for row in sorted(rows, key=lambda row: (row.n, row.r)):
-        if row.bound < epsilon:
-            return row
-    return None

@@ -1,16 +1,25 @@
 """Independent re-checking of stored certificate documents.
 
-The verifier trusts nothing but the raw integers in the document: it
-re-derives the symmetrization table by counting the block splittings in
-the subset product prod_{|S|=k} (1 + eps_k k!(n-k)! y_S) of the subring
-y_i = u_i v_i (the producer reads the same table from its closed form
-instead), re-runs the divisibility recursion for M, re-evaluates the
-symmetric functions, re-multiplies the Chern product, re-checks matrix
-congruences and re-asks symplectic.enumerate_isotropic about the stored
-forms.  That call is the one place the rank argument lives: a form
-family whose k exceeds n, and the r = 1 upper bound, are settled there
-by nondegeneracy, for every p and under no budget.  It never calls the
-producing solver; only the series/enumeration primitives are shared.
+The verifier trusts nothing but the raw integers in the document.  It
+never calls the producing solver, and re-derives on its own the
+symmetrization table, by counting the block splittings in the subset
+product prod_{|S|=k} (1 + eps_k k!(n-k)! y_S) of the subring y_i = u_i v_i
+(the producer reads the same table from its closed form instead), M, by
+its own copy of the divisibility recursion, the symmetric functions, the
+Chern product and the matrix congruences.
+
+It shares with the producer what a copy would not derive a second time:
+
+* the bound rule, groups.lambda_row, which defines k and the exponents of
+  each (n, r); the stored fields are compared with its rows, and the
+  epsilon witness is read from the re-derived rows by epsilon_witness;
+* the structural bound of the r = 1 group, groups.max_abelian_exponent;
+* the enumeration, symplectic.enumerate_isotropic and
+  max_common_isotropic_dim, which it asks again about the stored forms.
+  That call is the one place the rank argument lives: a form family whose
+  k exceeds n, and the r = 1 upper bound, are settled there by
+  nondegeneracy, for every p and under no budget;
+* the truncated-series arithmetic of OmegaSeries.
 
 A content digest binds each document.  Checks that would be expensive to
 re-run are skipped (and reported as not run) once the digest has already
@@ -35,6 +44,7 @@ from .certdoc import (
     MAX_LAMBDA_TABLE_ROWS,
     ParseError,
     compute_digest,
+    decode_bool,
     decode_fraction,
     decode_int,
     decode_int_list,
@@ -42,7 +52,14 @@ from .certdoc import (
     document_digestable,
 )
 from .exterior import MAX_SYMMETRIZATION_N, symmetrization_coefficients
-from .groups import DEFAULT_BRUTE_BUDGET, MAX_GROUP_N, brute_force_lambda, max_abelian_exponent
+from .groups import (
+    DEFAULT_BRUTE_BUDGET,
+    MAX_GROUP_N,
+    brute_force_lambda,
+    epsilon_witness,
+    lambda_row,
+    max_abelian_exponent,
+)
 from .series import OmegaSeries
 from .symplectic import (
     DEFAULT_SUBSPACE_BUDGET,
@@ -110,21 +127,6 @@ def _rederive_atilde(n: int) -> dict[tuple[int, int], Fraction]:
         for k in range(1, n + 1)
         for j, a in enumerate(symmetrization_coefficients(n, k), start=1)
     }
-
-
-def _bound_row(n: int, r: int, k: int | None = None) -> tuple[int | None, int, int, bool]:
-    """(k, abelian exponent, order exponent, r | 4n) of the abelian-subgroup bound at (n, r).
-
-    r = 1 is the Heisenberg group itself, abelian exponent n + 1 and no k.
-    For r > 1 the bound assumes a form family with no common isotropic
-    k-space, k = floor(4n/r) + 2 unless given, and is r + min(k, 2n).  The
-    order exponent is 2n + r either way.
-    """
-    if r == 1:
-        return None, n + 1, 2 * n + 1, True
-    if k is None:
-        k = 4 * n // r + 2
-    return k, r + min(k, 2 * n), 2 * n + r, (4 * n) % r == 0
 
 
 def _is_power(value: int, p: int, e: int) -> bool:
@@ -324,13 +326,14 @@ def _verify_construction(cert: dict, digest_ok: bool, out: list[CheckResult]) ->
     )
 
     group = cert["group"]
-    k, expected_abelian, order_exponent, _ = _bound_row(n, r)
+    row = lambda_row(n, r)
+    conditional = decode_bool(group["abelian_bound_conditional"])
     group_ok = (
-        decode_int(group["order_exponent"]) == order_exponent
-        and _is_power(decode_int(group["order"]), p, order_exponent)
-        and decode_int(group["abelian_exponent"]) == expected_abelian
-        and group["abelian_bound_conditional"] == (k is not None)
-        and decode_fraction(group["lambda"]) == Fraction(expected_abelian, order_exponent)
+        decode_int(group["order_exponent"]) == row.order_exponent
+        and _is_power(decode_int(group["order"]), p, row.order_exponent)
+        and decode_int(group["abelian_exponent"]) == row.abelian_exponent
+        and conditional == (row.k is not None)
+        and decode_fraction(group["lambda"]) == row.bound
     )
     out.append(_check("group_bounds", group_ok, "group bound arithmetic does not re-derive"))
 
@@ -339,20 +342,18 @@ def _verify_construction(cert: dict, digest_ok: bool, out: list[CheckResult]) ->
             out.append(
                 _check(
                     "abelian_bound_structural",
-                    max_abelian_exponent(n, p) == expected_abelian,
+                    max_abelian_exponent(n, p) == row.abelian_exponent,
                     "structural abelian bound re-check failed",
                 )
             )
         else:
             out.append(_skipped("abelian_bound_structural"))
 
-    out.append(
-        _check(
-            "recorded_checks",
-            bool(cert["overall_pass"]) and all(bool(v) for v in cert["checks"].values()),
-            "certificate records a failed check",
-        )
-    )
+    checks = cert["checks"]
+    if not isinstance(checks, dict):
+        raise TypeError(f"checks must be an object, got {type(checks).__name__}")
+    recorded = [decode_bool(cert["overall_pass"])] + [decode_bool(v) for v in checks.values()]
+    out.append(_check("recorded_checks", all(recorded), "certificate records a failed check"))
 
 
 # -- group reports --------------------------------------------------------------
@@ -433,7 +434,7 @@ def _verify_olshanskii(cert: dict, digest_ok: bool, budget: int, out: list[Check
     k = decode_int(cert["k"])
     mats = [decode_matrix(a) for a in cert["mats"]]
     form_matrices = [decode_matrix(f) for f in cert["forms"]]
-    certified = bool(cert["certified"])
+    certified = decode_bool(cert["certified"])
 
     # This bounds every size below: the family by MAX_FORM_FAMILY_ENTRIES,
     # n by the stored matrices, which must be 2n x 2n, and p by the
@@ -460,10 +461,9 @@ def _verify_olshanskii(cert: dict, digest_ok: bool, budget: int, out: list[Check
     if not params_ok:
         return
 
-    k_ok = k == _bound_row(n, r)[0] and 4 * n < r * (k - 1)
-    out.append(
-        _check("k_choice", k_ok, "k={} is not the floor(4n/r)+2 choice or violates 4n < r(k-1)", k)
-    )
+    row = lambda_row(n, r)
+    k_ok = k == row.k
+    out.append(_check("k_choice", k_ok, "k={} is not lambda_row's choice {}", k, row.k))
     # A square A is invertible exactly when its pullback A^T M A is
     # nondegenerate, and the pullback proves that by rank, so one row
     # reduction per matrix settles both.
@@ -484,18 +484,18 @@ def _verify_olshanskii(cert: dict, digest_ok: bool, budget: int, out: list[Check
         )
     )
 
-    _, abelian_exponent, order_exponent, _ = _bound_row(n, r, k)
-    exponents_ok = (
-        decode_int(cert["order_exponent"]) == order_exponent
-        and decode_int(cert["abelian_exponent"]) == abelian_exponent
-    )
-    out.append(_check("bound_exponents", exponents_ok, "bound exponent arithmetic is off"))
-
-    # A stored bound is checked by exact_abelian_bound, so a document that
-    # cannot be searched reports that check as not run too, never drops it.
+    # A stored bound repeats the row's exponents and is checked by
+    # exact_abelian_bound, so a document that cannot be searched reports
+    # that check as not run too, never drops it.
     bound = cert.get("bound")
     if bound is not None and not isinstance(bound, dict):
         raise TypeError(f"bound must be an object, got {type(bound).__name__}")
+    exponents_ok = all(
+        decode_int(fields["order_exponent"]) == row.order_exponent
+        and decode_int(fields["abelian_exponent"]) == row.abelian_exponent
+        for fields in ([cert] if bound is None else [cert, bound])
+    )
+    out.append(_check("bound_exponents", exponents_ok, "bound exponent arithmetic is off"))
     has_bound = bound is not None and bound.get("max_common_isotropic_dim") is not None
     searches = ("isotropic_enumeration", "exact_abelian_bound")[: 1 + has_bound]
     if not digest_ok:
@@ -566,42 +566,33 @@ def _verify_lambda_table(cert: dict, out: list[CheckResult]) -> None:
     )
     if not params_ok:
         return
-    all_ok = True
-    detail = ""
-    for row in rows:
-        n = decode_int(row["n"])
-        r = decode_int(row["r"])
-        k, abelian, order, exact = _bound_row(n, r)
-        row_k = row["k"] if row["k"] is None else decode_int(row["k"])
-        if (
-            row_k != k
-            or decode_int(row["abelian_exponent"]) != abelian
-            or decode_int(row["order_exponent"]) != order
-            or decode_fraction(row["bound"]) != Fraction(abelian, order)
-            or bool(row["exponent_form_exact"]) != exact
-        ):
-            all_ok = False
-            detail = f"row (n={n}, r={r}) does not re-derive"
-            break
-    out.append(_check("rows", all_ok, detail))
+    # The rows are exactly the grid, so the re-derived rows are the whole table.
+    fresh = [lambda_row(decode_int(row["n"]), decode_int(row["r"])) for row in rows]
+    # Each stored row's fields after (n, r), in LambdaRow's order.
+    stored = [
+        (
+            row["k"] if row["k"] is None else decode_int(row["k"]),
+            decode_int(row["abelian_exponent"]),
+            decode_int(row["order_exponent"]),
+            decode_fraction(row["bound"]),
+            decode_bool(row["exponent_form_exact"]),
+        )
+        for row in rows
+    ]
+    wrong = next((row for row, fields in zip(fresh, stored) if fields != row[2:]), None)
+    detail = "" if wrong is None else f"row (n={wrong.n}, r={wrong.r}) does not re-derive"
+    out.append(CheckResult("rows", wrong is None, detail))
 
     if "epsilon" in cert:
-        epsilon = decode_fraction(cert["epsilon"])
-        witness = None
-        for row in sorted(rows, key=lambda row: (decode_int(row["n"]), decode_int(row["r"]))):
-            if decode_fraction(row["bound"]) < epsilon:
-                witness = {"n": decode_int(row["n"]), "r": decode_int(row["r"])}
-                break
-        stored = cert["epsilon_witness"]
-        stored_norm = (
-            stored
-            if stored == "none in range"
-            else {"n": decode_int(stored["n"]), "r": decode_int(stored["r"])}
-        )
+        witness = epsilon_witness(fresh, decode_fraction(cert["epsilon"]))
+        stored_witness = cert["epsilon_witness"]
+        if stored_witness != "none in range":
+            stored_witness = {"n": decode_int(stored_witness["n"]), "r": decode_int(stored_witness["r"])}
+        expected = "none in range" if witness is None else {"n": witness.n, "r": witness.r}
         out.append(
             _check(
                 "epsilon_witness",
-                stored_norm == (witness if witness is not None else "none in range"),
+                stored_witness == expected,
                 "stored epsilon witness does not re-derive",
             )
         )

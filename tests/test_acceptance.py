@@ -184,11 +184,9 @@ def test_c6_olshanskii_construction(olshanskii_specs):
     assert vacuous.certified  # the k > 2n fallback case always certifies
     if heavy.certified:
         assert heavy.k == 6
-        assert (heavy.order_exponent, heavy.abelian_exponent) == (12, 10)
+        assert (heavy.row.order_exponent, heavy.row.abelian_exponent) == (12, 10)
         common = isotropic_by_pivot_walk(list(heavy.forms), heavy.k)
         assert common == []
-        bound = product_subgroup_bound(heavy)
-        assert (bound.order_exponent, bound.abelian_exponent) == (12, 10)
         detail = (
             f"certified 4 forms on F_3^8 with no common 6-dim isotropic subspace "
             f"(exhaustive over {heavy.transcript['subspaces_examined_per_attempt']} "

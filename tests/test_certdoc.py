@@ -61,6 +61,13 @@ def test_oversize_hex_integer_is_a_parse_error():
         certdoc.decode_int("0xfg")
 
 
+def test_bool_decoding_accepts_only_json_booleans():
+    assert certdoc.decode_bool(True) is True and certdoc.decode_bool(False) is False
+    for junk in ("false", "true", 0, 1, None, [True]):
+        with pytest.raises(certdoc.ParseError, match="expected a boolean"):
+            certdoc.decode_bool(junk)
+
+
 def test_fraction_round_trip():
     for value in (Fraction(2, 3), Fraction(-355348, 1), Fraction(10**20, 3)):
         assert certdoc.decode_fraction(certdoc.encode_fraction(value)) == value

@@ -377,3 +377,50 @@ def test_certify_at_the_largest_order_a_document_holds(runner, tmp_path):
     out = tmp_path / "cert.json"
     assert runner.invoke(main, ["certify", "--n", "1", "--r", "9000", "--p", "3", "--out", str(out)]).exit_code == 0
     assert runner.invoke(main, ["verify", str(out)]).exit_code == 0
+
+
+def _redigested(runner, tmp_path, command, edit):
+    """Produce a document by ``command``, apply ``edit`` to its certificate, re-digest; returns its path."""
+    out = tmp_path / "doc.json"
+    runner.invoke(main, command + ["--out", str(out)])
+    doc = json.loads(out.read_text())
+    edit(doc["certificate"])
+    doc["digest"] = certdoc.compute_digest(certdoc.document_digestable(doc))
+    out.write_text(json.dumps(doc))
+    return out
+
+
+_CERTIFY = ["certify", "--n", "1", "--r", "1", "--p", "3"]
+_OLSHANSKII = ["olshanskii", "--n", "2", "--r", "2", "--p", "3", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "command, edit",
+    [
+        (_OLSHANSKII, lambda cert: cert.update(certified="false")),
+        (_CERTIFY, lambda cert: cert.update(overall_pass="false")),
+        (_CERTIFY, lambda cert: cert["checks"].update(rank_formula=1)),
+        (["lambda-table", "--max-n", "2", "--max-r", "2"], lambda cert: cert["rows"][3].update(exponent_form_exact="no")),
+        (["certify", "--n", "1", "--r", "2", "--p", "3"], lambda cert: cert["group"].update(abelian_bound_conditional=0)),
+    ],
+    ids=["certified", "overall_pass", "checks", "exponent_form_exact", "abelian_bound_conditional"],
+)
+def test_verify_accepts_only_json_booleans(runner, tmp_path, command, edit):
+    # Each of these documents used to verify with exit 0: "false" and 0 were read by truth value.
+    result = runner.invoke(main, ["verify", str(_redigested(runner, tmp_path, command, edit))])
+    assert result.exit_code == 2, result.output
+    assert "expected a boolean" in result.output
+
+
+def test_verify_of_checks_that_are_not_an_object_fails_in_a_fresh_process(runner, tmp_path):
+    # A list of checks used to raise AttributeError out of the verifier: a traceback and exit 1.
+    path = _redigested(runner, tmp_path, _CERTIFY, lambda cert: cert.update(checks=[True]))
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    result = subprocess.run(
+        [sys.executable, "-m", "pgroupcert.cli", "verify", str(path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 1, result.stderr
+    assert "Traceback" not in result.stderr
+    assert "FAIL construction:well_formed  (malformed certificate: checks must be an object" in result.stdout

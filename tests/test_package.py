@@ -14,13 +14,13 @@ ROOT = Path(__file__).resolve().parent.parent
 # Every name the package exports; README and the demos import from here.
 EXPORTED = {
     "OmegaPowerRow", "a_table", "atilde_table", "omega_power_table", "symmetrization_coefficients",
-    "brute_force_lambda", "group_order", "max_abelian_exponent", "max_abelian_order",
-    "ProductBound", "ProductSubgroupSpec", "isotropy_free_dimension", "olshanskii_search",
-    "product_subgroup_bound",
+    "LambdaRow", "brute_force_lambda", "epsilon_witness", "group_order", "max_abelian_exponent",
+    "max_abelian_order",
+    "ProductBound", "ProductSubgroupSpec", "olshanskii_search", "product_subgroup_bound",
     "OmegaSeries", "chern_G", "direct_sum",
     "CertificationError", "ConstructionCertificate", "DeltaSolution", "DivisibilityError",
-    "LambdaRow", "PreconditionError", "RootFamily", "SearchExhausted", "certify", "compute_M",
-    "epsilon_witness", "find_prime", "find_roots", "lambda_table", "rank_formula", "solve_deltas",
+    "PreconditionError", "RootFamily", "SearchExhausted", "certify", "compute_M",
+    "find_prime", "find_roots", "lambda_table", "rank_formula", "solve_deltas",
     "BudgetExceeded", "Subspace", "SymplecticForm", "enumerate_isotropic", "gaussian_binomial",
     "VerificationReport", "verify_document",
 }
@@ -119,7 +119,7 @@ def test_cli_loads_neither_dataclasses_nor_inspect():
 
 
 def test_records_are_read_only():
-    from pgroupcert.products import lambda_row
+    from pgroupcert.groups import lambda_row
     from pgroupcert.symplectic import Subspace, SymplecticForm
     from pgroupcert.verify import CheckResult
 

@@ -7,13 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from pgroupcert import products, symplectic, verify
-from pgroupcert.groups import max_abelian_order
+from pgroupcert import products, symplectic
+from pgroupcert.groups import lambda_row, max_abelian_order
 from pgroupcert.products import (
     ProductSubgroupSpec,
     identity_matrix,
-    isotropy_free_dimension,
-    lambda_row,
     olshanskii_search,
     product_subgroup_bound,
 )
@@ -22,16 +20,15 @@ from product_oracle import common_projection, iterate_product_group, product_ele
 from subspace_oracle import isotropic_by_pivot_walk
 
 
-def test_isotropy_free_dimension():
-    assert isotropy_free_dimension(1, 2) == 4
-    assert isotropy_free_dimension(4, 4) == 6
-    assert isotropy_free_dimension(3, 2) == 8
-    # floor variant still satisfies 4n < r(k-1) when r does not divide 4n
-    assert isotropy_free_dimension(3, 5) == 4
-    assert 4 * 3 < 5 * (4 - 1)
+def test_lambda_row_chooses_the_least_k_with_4n_below_r_times_k_minus_1():
+    assert [lambda_row(n, r).k for n, r in [(1, 2), (4, 4), (3, 2), (3, 5)]] == [4, 6, 8, 4]
+    for n, r in itertools.product(range(1, 41), range(2, 41)):
+        k = lambda_row(n, r).k
+        assert 4 * n < r * (k - 1)
+        assert not 4 * n < r * (k - 2)
 
 
-def test_lambda_row_is_the_written_out_rule_on_both_sides():
+def test_lambda_row_is_the_written_out_rule():
     for n, r in itertools.product(range(1, 13), repeat=2):
         if r == 1:
             k, abelian, order, exact = None, n + 1, 2 * n + 1, True
@@ -43,7 +40,6 @@ def test_lambda_row_is_the_written_out_rule_on_both_sides():
         assert (row.abelian_exponent, row.order_exponent) == (abelian, order)
         assert row.bound == Fraction(abelian, order)
         assert row.exponent_form_exact == exact
-        assert verify._bound_row(n, r) == (k, abelian, order, exact)
 
 
 def test_search_rejects_single_factor():
@@ -56,8 +52,8 @@ def test_vacuous_family_certifies():
     assert spec.certified
     assert spec.k == 4  # exceeds the ambient dimension 2, so no subspace exists
     assert spec.mats[0] == identity_matrix(2)
-    assert spec.order_exponent == 4
-    assert spec.abelian_exponent == 2 + min(4, 2)
+    assert spec.row == lambda_row(1, 2)
+    assert (spec.row.order_exponent, spec.row.abelian_exponent) == (4, 2 + min(4, 2))
 
 
 def test_spec_rejects_singular_matrix():
@@ -69,7 +65,6 @@ def test_spec_rejects_singular_matrix():
 def test_exact_bound_via_common_isotropic_dimension():
     spec = olshanskii_search(1, 2, 3, seed=7)
     bound = product_subgroup_bound(spec)
-    assert bound.order_exponent == 4
     # lines are isotropic for every antisymmetric form, the full plane is not
     assert bound.max_common_isotropic_dim == 1
     assert bound.exact_abelian_exponent == 3
@@ -102,7 +97,7 @@ def test_degenerate_identity_family_has_common_lagrangian():
     # all A_j equal: every Lagrangian of the standard form is common, so the
     # exact abelian exponent collapses to r + n
     n, p, r = 2, 3, 2
-    k = isotropy_free_dimension(n, r)
+    k = lambda_row(n, r).k
     mats = (identity_matrix(2 * n),) * r
     spec = ProductSubgroupSpec(n=n, p=p, r=r, k=k, mats=mats, certified=False)
     spec.certified = not enumerate_isotropic(list(spec.forms), k)
@@ -219,7 +214,7 @@ def test_exact_dimension_search_starts_at_n(n, r, seed, budget):
 def test_exact_dimension_search_on_a_shared_lagrangian():
     n, r = 2, 2
     mats = (identity_matrix(2 * n),) * r
-    spec = ProductSubgroupSpec(n=n, p=3, r=r, k=isotropy_free_dimension(n, r), mats=mats, certified=True)
+    spec = ProductSubgroupSpec(n=n, p=3, r=r, k=lambda_row(n, r).k, mats=mats, certified=True)
     for budget in (10**7, 130, 129):
         bound = product_subgroup_bound(spec, exact_budget=budget)
         assert bound.max_common_isotropic_dim == _exact_dim_from_2n(spec, budget)

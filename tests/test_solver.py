@@ -8,6 +8,7 @@ import pytest
 
 from pgroupcert import certdoc, primes, solver
 from pgroupcert.exterior import atilde_table
+from pgroupcert.groups import epsilon_witness, lambda_row
 from pgroupcert.series import OmegaSeries
 from pgroupcert.solver import (
     CertificationError,
@@ -17,7 +18,6 @@ from pgroupcert.solver import (
     certify,
     compute_M,
     elementary_symmetric,
-    epsilon_witness,
     find_prime,
     find_roots,
     lambda_table,
@@ -270,9 +270,9 @@ def test_solve_deltas_rejects_a_family_for_other_parameters():
 def test_certify_1_1_3():
     cert = certify(1, 1, 3)
     assert cert.overall_pass
-    assert cert.group_order == 27 and cert.group_order_exponent == 3
-    assert cert.abelian_exponent == 2
-    assert cert.lambda_gamma == F(2, 3)
+    assert cert.group_order == 27 and cert.row.order_exponent == 3
+    assert cert.row.abelian_exponent == 2
+    assert cert.row.bound == F(2, 3)
     assert cert.rank == cert.tau == 3
     assert cert.tau_best_known == 2
     assert cert.chern_product.is_one()
@@ -281,7 +281,7 @@ def test_certify_1_1_3():
 def test_certify_2_1_7():
     cert = certify(2, 1, 7)
     assert cert.overall_pass
-    assert cert.lambda_gamma == F(3, 5)
+    assert cert.row.bound == F(3, 5)
     assert cert.rank == 9
     assert cert.group_order == 7**5
 
@@ -318,9 +318,10 @@ def test_certify_is_p_independent_in_M_rank_tau():
 
 def test_certify_r2_is_conditional():
     cert = certify(1, 2, 3)
-    assert cert.abelian_bound_conditional
-    assert cert.group_order_exponent == 4
-    assert cert.abelian_exponent == 2 + min(4, 2)
+    assert cert.row == lambda_row(1, 2)
+    assert cert.row.k is not None  # the bound is conditional on a form family
+    assert cert.row.order_exponent == 4
+    assert cert.row.abelian_exponent == 2 + min(4, 2)
     assert any("olshanskii" in note for note in cert.notes)
 
 

@@ -9,9 +9,16 @@ import pytest
 
 from pgroupcert import certdoc, products, symplectic, verify
 from pgroupcert.exterior import MAX_SYMMETRIZATION_N
-from pgroupcert.groups import BRUTE_WORK_BUDGET, MAX_GROUP_N, brute_force_lambda, group_order, max_abelian_exponent
+from pgroupcert.groups import (
+    BRUTE_WORK_BUDGET,
+    MAX_GROUP_N,
+    brute_force_lambda,
+    epsilon_witness,
+    group_order,
+    max_abelian_exponent,
+)
 from pgroupcert.products import ProductSubgroupSpec, identity_matrix, olshanskii_search, product_subgroup_bound
-from pgroupcert.solver import certify, compute_M, epsilon_witness, find_prime, lambda_table
+from pgroupcert.solver import certify, compute_M, find_prime, lambda_table
 from pgroupcert.symplectic import (
     MAX_FORM_FAMILY_ENTRIES,
     BudgetExceeded,
@@ -627,3 +634,11 @@ def test_brute_group_report_is_bounded_by_its_squared_order():
     assert failed["bound_recomputation"] == str(
         BudgetExceeded(13**6, BRUTE_WORK_BUDGET, what="group-law calls")
     )
+
+
+def test_olshanskii_stored_bound_exponents_are_checked():
+    doc = json.loads(json.dumps(olshanskii_doc(2, 2, 3, seed=1)))
+    doc["certificate"]["bound"].update(order_exponent=999, abelian_exponent=-5)
+    report = verify_document(fix_digest(doc))
+    assert report.results[0].passed
+    assert [result.name for result in report.failures()] == ["bound_exponents"]
