@@ -8,7 +8,6 @@ exactly in Q[w]/(w^3).  Every quantity below is exact.
 """
 
 from pgroupcert import (
-    OmegaSeries,
     atilde_table,
     certify,
     chern_G,
@@ -16,6 +15,7 @@ from pgroupcert import (
     find_roots,
     solve_deltas,
 )
+from pgroupcert.certdoc import CONSTRUCTION_CHECKS
 
 n, p = 2, 7
 M = compute_M(n)
@@ -41,9 +41,7 @@ for k in (1, 2):
     print(f"c(G_{k}({sol.delta[k-1]})) = {chern_G(n, k, sol.delta[k-1], p)}")
 
 print("\n-- step 4: the product telescopes to 1 --")
-product = OmegaSeries.one(n)
-for a in roots.lifts:
-    product = product * OmegaSeries.from_dict(n, {0: 1, 1: a * M * p})
+product = sol.line_product  # prod (1 + a_j M p w), as the solver formed it
 print(f"line-power product: {product}")
 for g in sol.G:  # the same classes, as the elimination built them
     product = product * g
@@ -51,7 +49,8 @@ print(f"full product:       {product}")
 
 print("\n-- the same thing, packaged as a certificate --")
 cert = certify(n, 1, p)
-print(f"overall pass: {cert.overall_pass}")
+# certify raises CertificationError instead of returning a certificate that lacks one.
+print(f"identities established: {', '.join(CONSTRUCTION_CHECKS)}")
 print(f"rank of the flat bundle: {cert.rank} (= n+1 + n(n+1)/2 * n!)")
 print(f"group order p^{cert.row.order_exponent} = {cert.group_order}, "
       f"abelian bound p^{cert.row.abelian_exponent}, "

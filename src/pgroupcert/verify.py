@@ -19,7 +19,9 @@ It shares with the producer what a copy would not derive a second time:
   That call is the one place the rank argument lives: a form family whose
   k exceeds n, and the r = 1 upper bound, are settled there by
   nondegeneracy, for every p and under no budget;
-* the truncated-series arithmetic of OmegaSeries.
+* the truncated-series arithmetic of OmegaSeries;
+* the cited assumptions, certdoc.CITED_ASSUMPTIONS, which a stored list
+  must equal.
 
 A content digest binds each document.  Checks that would be expensive to
 re-run are skipped (and reported as not run) once the digest has already
@@ -40,6 +42,8 @@ from typing import Any, NamedTuple
 
 from . import primes
 from .certdoc import (
+    CITED_ASSUMPTIONS,
+    CONSTRUCTION_CHECKS,
     DECIMAL_LIMIT,
     MAX_LAMBDA_TABLE_ROWS,
     ParseError,
@@ -262,15 +266,21 @@ def _verify_construction(cert: dict, digest_ok: bool, out: list[CheckResult]) ->
     out.append(_check("M", M == fresh_m, "stored M={}, recomputed {}", M, fresh_m))
     out.append(_check("p_exceeds_M", p > fresh_m, "p={} is not above M={}", p, fresh_m))
 
+    # Each lift convention is a window of q consecutive integers: [0, q) or |a| <= (q-1)/2.
+    convention = cert["lift_convention"]
+    windows = {"nonneg": 0, "symmetric": -(q // 2)}
+    low = windows.get(convention) if isinstance(convention, str) else None
     roots_ok = (
-        len(residues) == n + 1
+        low is not None
+        and all(low <= a < low + q for a in lifts)
+        and len(lifts) == len(residues) == n + 1
         and len(set(residues)) == n + 1
         and all(pow(alpha, n + 1, q) == 1 for alpha in residues)
         and all(x * y % q in set(residues) for x in residues for y in residues)
         and all(a % q == alpha % q for a, alpha in zip(lifts, residues))
         and all(a % p for a in lifts)
     )
-    out.append(_check("roots", roots_ok, "root family fails its defining identities"))
+    out.append(_check("roots", roots_ok, "root family fails its identities or its lift range"))
 
     sigma = _elementary_symmetric(lifts)[:n]
     out.append(
@@ -305,9 +315,9 @@ def _verify_construction(cert: dict, digest_ok: bool, out: list[CheckResult]) ->
     out.append(
         _check(
             "chern_product",
-            total.is_one() and stored_product.is_one(),
-            "rebuilt Chern product has omega-coefficients {}",
-            total.coeffs,
+            total.is_one() and stored_product == OmegaSeries.one(n),
+            "rebuilt Chern product has omega-coefficients {}, stored {} at n={}",
+            total.coeffs, stored_product.coeffs, stored_product.n,
         )
     )
 
@@ -349,11 +359,15 @@ def _verify_construction(cert: dict, digest_ok: bool, out: list[CheckResult]) ->
         else:
             out.append(_skipped("abelian_bound_structural"))
 
+    assumptions_ok = cert["assumptions"] == list(CITED_ASSUMPTIONS)
+    out.append(_check("assumptions", assumptions_ok, "stored assumptions are not the cited ones"))
+
     checks = cert["checks"]
     if not isinstance(checks, dict):
         raise TypeError(f"checks must be an object, got {type(checks).__name__}")
     recorded = [decode_bool(cert["overall_pass"])] + [decode_bool(v) for v in checks.values()]
-    out.append(_check("recorded_checks", all(recorded), "certificate records a failed check"))
+    recorded_ok = all(recorded) and sorted(checks) == sorted(CONSTRUCTION_CHECKS)
+    out.append(_check("recorded_checks", recorded_ok, "checks are not the established ones, all true"))
 
 
 # -- group reports --------------------------------------------------------------

@@ -226,6 +226,7 @@ def test_solve_deltas_shifted_lifts_still_cancel():
     product = OmegaSeries.one(n)
     for a in shifted.lifts:
         product = product * OmegaSeries.from_dict(n, {0: 1, 1: a * M * p})
+    assert sol.line_product == product
     table = atilde_table(n)
     for i in (1, 2):
         entries = {0: F(1)}
@@ -267,9 +268,23 @@ def test_solve_deltas_rejects_a_family_for_other_parameters():
 # -- certificates ------------------------------------------------------------------
 
 
+# The identities certify establishes; it raises before it would return a certificate without one.
+CONSTRUCTION_CHECKS = {
+    "abelian_bound_recorded", "b_divisible_by_M_p_pow_2j", "chern_product_is_one", "deltas_integral",
+    "p_coprime_to_aM", "rank_formula", "roots_closed_under_multiplication", "sigma_divisible_by_p_pow_n",
+}
+
+
+def _assert_payload_records_every_check(cert):
+    payload = certdoc.construction_payload(cert)
+    assert payload["checks"] == dict.fromkeys(CONSTRUCTION_CHECKS, True)
+    assert payload["overall_pass"] is True
+    assert payload["assumptions"] == list(certdoc.CITED_ASSUMPTIONS)
+
+
 def test_certify_1_1_3():
     cert = certify(1, 1, 3)
-    assert cert.overall_pass
+    _assert_payload_records_every_check(cert)
     assert cert.group_order == 27 and cert.row.order_exponent == 3
     assert cert.row.abelian_exponent == 2
     assert cert.row.bound == F(2, 3)
@@ -280,7 +295,7 @@ def test_certify_1_1_3():
 
 def test_certify_2_1_7():
     cert = certify(2, 1, 7)
-    assert cert.overall_pass
+    _assert_payload_records_every_check(cert)
     assert cert.row.bound == F(3, 5)
     assert cert.rank == 9
     assert cert.group_order == 7**5
@@ -298,14 +313,28 @@ def test_certify_builds_each_G_class_once(monkeypatch, n, p):
 
 
 def test_certify_preconditions():
-    with pytest.raises(PreconditionError):
-        certify(1, 1, 2)
-    with pytest.raises(PreconditionError):
-        certify(2, 1, 5)  # 5 != 1 mod 3
-    with pytest.raises(PreconditionError):
-        certify(2, 1, 3)  # p = 3 is 0 mod 3
-    with pytest.raises(PreconditionError):
-        certify(0, 1, 3)
+    for n, r, p in [
+        (1, 1, 2),  # odd primes only
+        (2, 1, 5),  # 5 != 1 mod 3
+        (2, 1, 3),  # p = 3 is 0 mod 3
+        (0, 1, 3),
+        (1, 0, 3),
+        (1, 1, 9),  # composite, above M(1) = 1
+        (3, 1, 4),  # composite, at most M(3) = 6
+    ]:
+        with pytest.raises(PreconditionError):
+            certify(n, r, p)
+
+
+@pytest.mark.parametrize("n,r,p,lift", [(1, 1, 3, "nonneg"), (2, 2, 13, "symmetric"), (3, 1, 13, "nonneg")])
+def test_certify_validates_the_roots_and_tests_p_for_primality_once(monkeypatch, n, r, p, lift):
+    validated, primality_tests = [], []
+    real_validate, real_is_prime = RootFamily.validate, primes.is_prime
+    monkeypatch.setattr(RootFamily, "validate", lambda family: validated.append(family) or real_validate(family))
+    monkeypatch.setattr(primes, "is_prime", lambda m: primality_tests.append(m) or real_is_prime(m))
+    certify(n, r, p, lift=lift)
+    assert len(validated) == 1
+    assert primality_tests.count(p) == 1
 
 
 def test_certify_is_p_independent_in_M_rank_tau():

@@ -29,12 +29,12 @@ from pgroupcert.symplectic import (
 from pgroupcert.verify import verify_document
 
 
-def construction_doc(n, r, p):
-    cert = certify(n, r, p)
+def construction_doc(n, r, p, lift="nonneg"):
+    cert = certify(n, r, p, lift=lift)
     return certdoc.build_document(
         "construction",
         "certify",
-        {"n": n, "r": r, "p": p, "lifts": "nonneg"},
+        {"n": n, "r": r, "p": p, "lifts": lift},
         certdoc.construction_payload(cert),
     )
 
@@ -193,6 +193,65 @@ def test_residue_mutation_fails_roots():
     report = verify_document(bad)
     assert not report.ok
     assert any(r.name == "roots" for r in report.failures())
+
+
+def test_stored_chern_product_must_be_the_unit_series_at_n():
+    # A unit series of the wrong length used to pass: only is_one() was asked of it.
+    doc = construction_doc(2, 1, 13)
+    doc["certificate"]["chern_product"] = {"n": 0, "coeffs": [{"num": "1", "den": "1"}]}
+    report = verify_document(fix_digest(doc))
+    assert report.results[0].passed
+    assert [result.name for result in report.failures()] == ["chern_product"]
+
+
+@pytest.mark.parametrize(
+    "lift,convention",
+    [("nonneg", "symmetric"), ("symmetric", "nonneg"), ("nonneg", "shifted"), ("nonneg", ["nonneg"])],
+    ids=["nonneg-stated-symmetric", "symmetric-stated-nonneg", "unknown", "not-a-string"],
+)
+def test_lifts_must_lie_in_the_range_of_their_stated_convention(lift, convention):
+    # The stored convention used to go unread, so a misstated one verified.
+    doc = construction_doc(2, 1, 13, lift=lift)
+    assert verify_document(doc).ok
+    doc["certificate"]["lift_convention"] = convention
+    report = verify_document(fix_digest(doc))
+    assert report.results[0].passed
+    assert [result.name for result in report.failures()] == ["roots"]
+
+
+def test_a_lift_just_outside_the_symmetric_range_fails_roots():
+    doc = construction_doc(1, 1, 3, lift="symmetric")  # q = 3: lifts in [-1, 1]
+    lifts = doc["certificate"]["a"]
+    lifts[lifts.index(-1)] = 2  # the same residue mod 3
+    report = verify_document(fix_digest(doc))
+    assert "roots" in [result.name for result in report.failures()]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda assumptions: assumptions.clear(), lambda assumptions: assumptions.pop(), lambda assumptions: assumptions.reverse()],
+    ids=["dropped", "one-dropped", "reordered"],
+)
+def test_stored_assumptions_must_be_the_cited_ones(edit):
+    doc = construction_doc(2, 1, 7)
+    edit(doc["certificate"]["assumptions"])
+    report = verify_document(fix_digest(doc))
+    assert report.results[0].passed
+    assert [result.name for result in report.failures()] == ["assumptions"]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda checks: checks.clear(), lambda checks: checks.popitem(), lambda checks: checks.update(extra=True)],
+    ids=["none", "one-dropped", "unknown"],
+)
+def test_recorded_checks_must_name_exactly_the_established_identities(edit):
+    # An empty checks object used to verify: only the recorded values were read.
+    doc = construction_doc(2, 1, 13)
+    edit(doc["certificate"]["checks"])
+    report = verify_document(fix_digest(doc))
+    assert report.results[0].passed
+    assert [result.name for result in report.failures()] == ["recorded_checks"]
 
 
 def test_atilde_mutation_fails_the_table_check():
