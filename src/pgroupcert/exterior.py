@@ -30,12 +30,16 @@ splittings a second way: the coefficient of ``y_T`` with ``|T| = jk`` is
 the block holding T's least element, then split the rest), so
 ``a_{k,j} = c^j w(jk) / (jk)!``.  All arithmetic is exact; nothing is a
 float.
+
+Both sides also share two readings of a table: ``m_chain``, the
+divisibility recursion that gives M(n), which each feeds its own table,
+and ``construction_notes``, the notes a construction certificate records.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 from typing import NamedTuple
 
 #: The one work bound on n, for the producer's and the verifier's tables
@@ -125,3 +129,62 @@ def atilde_table(n: int) -> dict[tuple[int, int], Fraction]:
     atilde_{k,j} omega^(jk).
     """
     return _closed_form(n, scaled=True)
+
+
+def m_chain(n: int, table: dict[tuple[int, int], Fraction]) -> tuple[int, ...]:
+    """Witnesses (m_1, ..., m_n) of the spanning recursion on an atilde table; M(n) = m_1.
+
+    m_n is the least positive integer multiple of atilde_{n,1}; for
+    i < n, m_i' is the least positive multiple of atilde_{i,1}, m_i'' is
+    the least positive integer with m_i'' * atilde_{i,j} in m_(i+1) Z for
+    every j > 1, and m_i = m_i' * m_i''.  The producer feeds it the closed
+    form, the verifier the block-count recursion.
+    """
+    chain = [0] * (n + 1)
+    chain[n] = abs(table[(n, 1)].numerator)
+    for i in range(n - 1, 0, -1):
+        m_doubleprime = 1
+        for j in range(2, n // i + 1):
+            den = (table[(i, j)] / chain[i + 1]).denominator
+            m_doubleprime = m_doubleprime * den // gcd(m_doubleprime, den)
+        chain[i] = abs(table[(i, 1)].numerator) * m_doubleprime
+    return tuple(chain[1:])
+
+
+def construction_notes(n: int, lift: str, conditional: bool) -> tuple[list[str], str]:
+    """The notes and the tau note a construction certificate records, from n, its lift and its bound.
+
+    ``conditional`` is whether the abelian bound rests on a form family
+    (r > 1).  The omega-power note reads the discrepancy off
+    omega_power_table.
+    """
+    notes = []
+    mismatches = [row.k for row in omega_power_table(n) if not row.matches_closed_form]
+    if mismatches:
+        notes.append(
+            "omega-power coefficients come from direct expansion "
+            f"(k! times sign (-1)^(k(k-1)/2) on sorted monomials); the commonly quoted "
+            f"closed form (-1)^k * n!/(n-k)! disagrees at k={mismatches} and is "
+            "recorded for comparison only"
+        )
+    notes.append(
+        "the table atilde_{k,j} = ((k-1)!)^j * a_{k,j} absorbs the (k-1)! factor "
+        "carried by the top Chern class of each rank-k building block; the raw "
+        "symmetrization coefficients a_{k,j} are the unscaled ones"
+    )
+    if conditional:
+        notes.append(
+            "the abelian bound for r > 1 assumes a certified family of symplectic "
+            "forms with no common isotropic subspace of the target dimension; "
+            "produce and verify one with the olshanskii subcommand"
+        )
+    if lift == "nonneg":
+        notes.append("lifts are least nonnegative representatives")
+    else:
+        notes.append("lifts are symmetric representatives in (-p^n/2, p^n/2)")
+    if n == 1:
+        notes.append(
+            "for n = 1 a direct rank-2 construction exists, so tau(1) = 2 beats "
+            "the generic rank 3; both values are recorded"
+        )
+    return notes, "rank of the constructed bundle; stable-triviality padding not included"

@@ -5,7 +5,9 @@ subring generated by omega, so an OmegaSeries, the coefficient vector
 c_0..c_n, is the one type for them: a line power's class is
 1 + c_1 omega, chern_G builds the class of a pulled-back symmetrized
 bundle, and direct_sum multiplies classes.  Ranks are not carried; the
-construction's rank is the closed form solver.rank_formula.
+construction's rank is the closed form solver.rank_formula.  The product
+of the line classes 1 + a_j x is 1 + sum_j sigma_j x^j, with sigma_j from
+elementary_symmetric.
 
 A series is the total Chern class of an actual bundle exactly when
 c_0 = 1 and the underlying cohomology class is integral; since omega^j
@@ -71,22 +73,18 @@ class OmegaSeries:
         return OmegaSeries(n, out)
 
     def inverse(self) -> "OmegaSeries":
-        """Inverse of 1 + s as the alternating sum 1 - s + s^2 - ..., truncated.
+        """Inverse of 1 + s_1 omega + ... + s_n omega^n, exact.
 
-        The tail s has zero constant term, so the sum terminates after n
-        steps and the result is exact.
+        Its coefficients follow from c_0 = 1 and c_j = -sum_{i=1..j} s_i c_(j-i),
+        the omega^j coefficient of the product set to zero.
         """
         if self.coeffs[0] != 1:
             raise ValueError(f"constant term must be 1 to invert, got {self.coeffs[0]}")
-        n = self.n
-        s = OmegaSeries(n, (0,) + self.coeffs[1:])
-        term = OmegaSeries.one(n)
-        acc = OmegaSeries.one(n)
-        for _ in range(n):
-            term = term * s
-            term = OmegaSeries(n, [-c for c in term.coeffs])
-            acc = OmegaSeries(n, [a + t for a, t in zip(acc.coeffs, term.coeffs)])
-        return acc
+        s = self.coeffs
+        c = [Fraction(1)]
+        for j in range(1, self.n + 1):
+            c.append(-sum(s[i] * c[j - i] for i in range(1, j + 1) if s[i]))
+        return OmegaSeries(self.n, c)
 
     def is_one(self) -> bool:
         return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
@@ -119,6 +117,16 @@ class OmegaSeries:
             else:
                 parts.append(f"{c}*w^{j}")
         return " + ".join(parts) if parts else "0"
+
+
+def elementary_symmetric(values: list[int]) -> list[int]:
+    """sigma_1, ..., sigma_len(values): prod (1 + v x) = 1 + sum_j sigma_j x^j."""
+    coeffs = [1]
+    for v in values:
+        coeffs = [c + v * (coeffs[i - 1] if i else 0) for i, c in enumerate(coeffs)] + [
+            v * coeffs[-1]
+        ]
+    return coeffs[1:]
 
 
 def chern_G(n: int, k: int, delta: int, p: int) -> OmegaSeries:

@@ -3,17 +3,20 @@
 The pipeline, for an odd prime p = 1 mod (n+1) with p > M(n):
 
 1. the (n+1)-st roots of unity in (Z/p^n)* are found and lifted to
-   integers a_1..a_(n+1); their elementary symmetric functions are all
+   integers a_1..a_(n+1); their elementary symmetric functions s_j are all
    divisible by p^n;
-2. the product of the line-bundle classes prod (1 + a_j M p omega) is
-   inverted, producing integers b_j divisible by M p^(2j);
-3. an ascending elimination solves for integers delta_1..delta_n with
-   prod c(G_j(delta_j)) = 1 + sum b_j omega^j, asserting integrality at
-   every division, and hands over the classes c(G_j(delta_j)) it built;
-4. the full product of total Chern classes, the line classes times those,
-   is then exactly 1, so the direct sum of the n+1 line powers and the n
-   pulled-back bundles has vanishing Chern classes; its rank is the closed
-   form n+1 + n(n+1)/2 * n!.
+2. the product of the line-bundle classes prod (1 + a_j M p omega) is read
+   off the s_j by Vieta, 1 + sum s_j (M p)^j omega^j, and its one inverse
+   gives integers b_j divisible by M p^(2j);
+3. one forward pass, starting from the line product T, solves for integers
+   delta_1..delta_n: step i takes delta_i = -T_i / (p^(2i) atilde_{i,1}),
+   asserting integrality, and multiplies T by c(G_i(delta_i)), which
+   clears omega^i and leaves omega^1..omega^(i-1) clear, since G_i has no
+   term below omega^i;
+4. the last T is the full product of total Chern classes, which certify
+   requires to be exactly 1, so the direct sum of the n+1 line powers and
+   the n pulled-back bundles has vanishing Chern classes; its rank is the
+   closed form n+1 + n(n+1)/2 * n!.
 
 Every certificate records all raw integers, so an independent checker can
 re-derive everything, and in ``checks`` the names of the identities
@@ -26,13 +29,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import factorial
 from typing import NamedTuple
 
 from . import certdoc, primes
-from .exterior import MAX_SYMMETRIZATION_N, atilde_table, omega_power_table
+from .exterior import MAX_SYMMETRIZATION_N, atilde_table, construction_notes, m_chain
 from .groups import LambdaRow, lambda_row, max_abelian_exponent
-from .series import OmegaSeries, chern_G, direct_sum
+from .series import OmegaSeries, chern_G, elementary_symmetric
 
 DEFAULT_PRIME_CEILING = 10**6
 
@@ -73,7 +76,8 @@ class RootFamily(NamedTuple):
     lifts: tuple[int, ...]
     lift_convention: str
 
-    def validate(self) -> None:
+    def validate(self) -> tuple[int, ...]:
+        """Check the family's identities; return sigma_1..sigma_n of the lifts, each divisible by p^n."""
         n, p = self.n, self.p
         q = p**n
         if len(self.residues) != n + 1 or len(set(self.residues)) != n + 1:
@@ -90,11 +94,13 @@ class RootFamily(NamedTuple):
             # A lift divisible by p would reduce to a non-unit, never to a root.
             if a % q != alpha % q:
                 raise CertificationError(f"lift {a} does not reduce to residue {alpha}")
-        for j, sigma in enumerate(elementary_symmetric(list(self.lifts))[:n], start=1):
+        s = tuple(elementary_symmetric(list(self.lifts))[:n])
+        for j, sigma in enumerate(s, start=1):
             if sigma % q:
                 raise CertificationError(
                     f"symmetric function sigma_{j} = {sigma} is not divisible by p^n = {q}"
                 )
+        return s
 
 
 def _root_of_unity_generator(n: int, p: int) -> int:
@@ -155,26 +161,8 @@ def find_roots(n: int, p: int, lift: str = "nonneg") -> RootFamily:
 
 @lru_cache(maxsize=None)
 def _m_chain(n: int) -> tuple[int, ...]:
-    """Witnesses (m_1, ..., m_n) of the spanning recursion, minimal at each step.
-
-    m_n is the least positive integer multiple of atilde_{n,1}; for
-    i < n, m_i' is the least positive multiple of atilde_{i,1}, m_i'' is
-    the least positive integer with m_i'' * atilde_{i,j} in m_(i+1) Z for
-    every j > 1, and m_i = m_i' * m_i''.
-    """
-    table = atilde_table(n)
-    chain = [0] * (n + 1)
-    chain[n] = abs(table[(n, 1)].numerator)
-    for i in range(n - 1, 0, -1):
-        m_prime = abs(table[(i, 1)].numerator)
-        m_doubleprime = 1
-        for j in range(2, n // i + 1):
-            ratio = table[(i, j)] / chain[i + 1]
-            m_doubleprime = m_doubleprime * ratio.denominator // gcd(
-                m_doubleprime, ratio.denominator
-            )
-        chain[i] = m_prime * m_doubleprime
-    return tuple(chain[1:])
+    """exterior.m_chain on the closed-form table, minimal at each step."""
+    return m_chain(n, atilde_table(n))
 
 
 def compute_M(n: int) -> int:
@@ -186,55 +174,33 @@ def compute_M(n: int) -> int:
     return _m_chain(n)[0]
 
 
-# -- symmetric functions and the delta solver ------------------------------
-
-
-def elementary_symmetric(values: list[int]) -> list[int]:
-    """sigma_1, ..., sigma_len(values)."""
-    coeffs = [1]
-    for v in values:
-        coeffs = [c + v * (coeffs[i - 1] if i else 0) for i, c in enumerate(coeffs)] + [
-            v * coeffs[-1]
-        ]
-    return coeffs[1:]
+# -- the delta solver --------------------------------------------------------
 
 
 class DeltaSolution(NamedTuple):
     delta: tuple[int, ...]
     b: tuple[int, ...]
     s: tuple[int, ...]
-    #: c(G_k(delta_k)) for k = 1..n, as the elimination built them.
-    G: tuple[OmegaSeries, ...]
-    #: prod_j (1 + a_j M p omega), the product of the n+1 line classes.
-    line_product: OmegaSeries
+    #: prod_j (1 + a_j M p omega) * prod_k c(G_k(delta_k)), the last T of the pass.
+    chern_product: OmegaSeries
 
 
 def solve_deltas(n: int, p: int, M: int, roots: RootFamily) -> DeltaSolution:
-    """Solve for integers delta_1..delta_n cancelling the line-power product.
+    """Solve for integers delta_1..delta_n cancelling the line-power product, in one forward pass.
 
-    Checks, in order: the root family is valid (roots.validate, which
-    includes p^n dividing each symmetric function s_j); the inverse-series
-    coefficients b_j are divisible by M p^(2j); each elimination step
-    divides exactly and clears omega^1..omega^i, so after step n the
-    residual is 1.  A failed divisibility raises DivisibilityError naming
-    the step and the offending values.
+    roots.validate checks the family and returns its s_j, each divisible
+    by p^n.  The line product T = 1 + sum s_j (M p)^j omega^j is inverted
+    once for the b_j, which must be integers divisible by M p^(2j).  Step
+    i sets delta_i = -T_i / (p^(2i) atilde_{i,1}), which must divide
+    exactly, and multiplies T by c(G_i(delta_i)); the last T is returned
+    as the Chern product, for the caller to require to be 1.  A failed
+    divisibility raises DivisibilityError naming the step and the values.
     """
     if (roots.n, roots.p) != (n, p):
         raise PreconditionError("root family does not match (n, p)")
-    roots.validate()
-    s = tuple(elementary_symmetric(list(roots.lifts))[:n])
+    s = roots.validate()
 
-    product = OmegaSeries.one(n)
-    for a in roots.lifts:
-        product = product * OmegaSeries.from_dict(n, {0: 1, 1: a * M * p})
-    expected = OmegaSeries.from_dict(
-        n, {0: 1, **{j: s[j - 1] * M**j * p**j for j in range(1, n + 1)}}
-    )
-    if product != expected:
-        raise CertificationError(
-            "product of line classes disagrees with its symmetric-function expansion"
-        )
-
+    product = OmegaSeries(n, [1, *(s_j * (M * p) ** j for j, s_j in enumerate(s, start=1))])
     inv = product.inverse()
     b = []
     for j in range(1, n + 1):
@@ -249,27 +215,19 @@ def solve_deltas(n: int, p: int, M: int, roots: RootFamily) -> DeltaSolution:
             )
 
     table = atilde_table(n)
-    residual = inv
     deltas: list[int] = []
-    classes: list[OmegaSeries] = []
     for i in range(1, n + 1):
-        alpha_i = residual.coefficient(i)
+        coeff = product.coefficient(i)
         denom = Fraction(p) ** (2 * i) * table[(i, 1)]
-        delta_i = alpha_i / denom
+        delta_i = -coeff / denom
         if delta_i.denominator != 1:
             raise DivisibilityError(
-                f"step i={i}: residual coefficient {alpha_i} is not divisible by "
+                f"step i={i}: coefficient {coeff} of omega^{i} is not divisible by "
                 f"p^(2i)*atilde_{{{i},1}} = {denom}"
             )
         deltas.append(delta_i.numerator)
-        classes.append(chern_G(n, i, deltas[-1], p))
-        residual = residual * classes[-1].inverse()
-        for j in range(1, i + 1):
-            if residual.coefficient(j) != 0:
-                raise CertificationError(
-                    f"step i={i} left a nonzero coefficient at omega^{j}"
-                )
-    return DeltaSolution(tuple(deltas), tuple(b), s, tuple(classes), line_product=product)
+        product = product * chern_G(n, i, deltas[-1], p)
+    return DeltaSolution(tuple(deltas), tuple(b), s, chern_product=product)
 
 
 # -- certificates -----------------------------------------------------------
@@ -301,25 +259,6 @@ class ConstructionCertificate(NamedTuple):
     row: LambdaRow
     group_order: int
     notes: list[str]
-
-
-def _omega_power_notes(n: int) -> list[str]:
-    notes = []
-    rows = omega_power_table(n)
-    mismatches = [row.k for row in rows if not row.matches_closed_form]
-    if mismatches:
-        notes.append(
-            "omega-power coefficients come from direct expansion "
-            f"(k! times sign (-1)^(k(k-1)/2) on sorted monomials); the commonly quoted "
-            f"closed form (-1)^k * n!/(n-k)! disagrees at k={mismatches} and is "
-            "recorded for comparison only"
-        )
-    notes.append(
-        "the table atilde_{k,j} = ((k-1)!)^j * a_{k,j} absorbs the (k-1)! factor "
-        "carried by the top Chern class of each rank-k building block; the raw "
-        "symmetrization coefficients a_{k,j} are the unscaled ones"
-    )
-    return notes
 
 
 def _fits_document(p: int, e: int) -> bool:
@@ -360,10 +299,9 @@ def certify(n: int, r: int, p: int, lift: str = "nonneg") -> ConstructionCertifi
 
     roots = find_roots(n, p, lift=lift)
     solution = solve_deltas(n, p, M, roots)
-    chern_product = direct_sum([solution.line_product, *solution.G])
-    if not chern_product.is_one():
+    if not solution.chern_product.is_one():
         raise CertificationError(
-            f"product of total Chern classes is not 1: {chern_product!r}"
+            f"product of total Chern classes is not 1: {solution.chern_product!r}"
         )
     if r == 1 and max_abelian_exponent(n, p) != row.abelian_exponent:
         raise CertificationError(
@@ -373,24 +311,8 @@ def certify(n: int, r: int, p: int, lift: str = "nonneg") -> ConstructionCertifi
     # n+1 line powers of rank 1 and G_k of rank k*n!, summed in closed form.
     rank = rank_formula(n)
 
-    notes = _omega_power_notes(n)
-    if row.k is not None:
-        notes.append(
-            "the abelian bound for r > 1 assumes a certified family of symplectic "
-            "forms with no common isotropic subspace of the target dimension; "
-            "produce and verify one with the olshanskii subcommand"
-        )
-    if lift == "nonneg":
-        notes.append("lifts are least nonnegative representatives")
-    else:
-        notes.append("lifts are symmetric representatives in (-p^n/2, p^n/2)")
-
+    notes, tau_note = construction_notes(n, lift, conditional=row.k is not None)
     tau_best_known = 2 if n == 1 else rank
-    if n == 1:
-        notes.append(
-            "for n = 1 a direct rank-2 construction exists, so tau(1) = 2 beats "
-            "the generic rank 3; both values are recorded"
-        )
 
     return ConstructionCertificate(
         n=n,
@@ -404,10 +326,10 @@ def certify(n: int, r: int, p: int, lift: str = "nonneg") -> ConstructionCertifi
         b=solution.b,
         delta=solution.delta,
         atilde=atilde_table(n),
-        chern_product=chern_product,
+        chern_product=solution.chern_product,
         rank=rank,
         tau=rank,
-        tau_note="rank of the constructed bundle; stable-triviality padding not included",
+        tau_note=tau_note,
         tau_best_known=tau_best_known,
         row=row,
         group_order=p**row.order_exponent,

@@ -4,12 +4,17 @@ The verifier trusts nothing but the raw integers in the document.  It
 never calls the producing solver, and re-derives on its own the
 symmetrization table, by counting the block splittings in the subset
 product prod_{|S|=k} (1 + eps_k k!(n-k)! y_S) of the subring y_i = u_i v_i
-(the producer reads the same table from its closed form instead), M, by
-its own copy of the divisibility recursion, the symmetric functions, the
-Chern product and the matrix congruences.
+(the producer reads the same table from its closed form instead), M from
+that table, the line product by multiplying out the lifts (the producer
+reads it off the symmetric functions), the Chern product and the matrix
+congruences.
 
 It shares with the producer what a copy would not derive a second time:
 
+* the divisibility recursion exterior.m_chain, which each side feeds its
+  own table, and the symmetric functions series.elementary_symmetric;
+* the certificate's notes and tau note, exterior.construction_notes,
+  which the stored fields must equal;
 * the bound rule, groups.lambda_row, which defines k and the exponents of
   each (n, r); the stored fields are compared with its rows, and the
   epsilon witness is read from the re-derived rows by epsilon_witness;
@@ -37,7 +42,7 @@ claims, and is refused when its m^2 product table would be too large.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial
 from typing import Any, NamedTuple
 
 from . import primes
@@ -55,7 +60,12 @@ from .certdoc import (
     decode_matrix,
     document_digestable,
 )
-from .exterior import MAX_SYMMETRIZATION_N, symmetrization_coefficients
+from .exterior import (
+    MAX_SYMMETRIZATION_N,
+    construction_notes,
+    m_chain,
+    symmetrization_coefficients,
+)
 from .groups import (
     DEFAULT_BRUTE_BUDGET,
     MAX_GROUP_N,
@@ -64,7 +74,7 @@ from .groups import (
     lambda_row,
     max_abelian_exponent,
 )
-from .series import OmegaSeries
+from .series import OmegaSeries, elementary_symmetric
 from .symplectic import (
     DEFAULT_SUBSPACE_BUDGET,
     MAX_FORM_FAMILY_ENTRIES,
@@ -100,28 +110,6 @@ def decode_series(value: Any) -> OmegaSeries:
 
 
 # -- local re-derivations (kept independent of the solver module) -----------
-
-
-def _elementary_symmetric(values: list[int]) -> list[int]:
-    coeffs = [1]
-    for v in values:
-        coeffs = [c + v * (coeffs[i - 1] if i else 0) for i, c in enumerate(coeffs)] + [
-            v * coeffs[-1]
-        ]
-    return coeffs[1:]
-
-
-def _recompute_m(n: int, table: dict[tuple[int, int], Fraction]) -> int:
-    chain = [0] * (n + 1)
-    chain[n] = abs(table[(n, 1)].numerator)
-    for i in range(n - 1, 0, -1):
-        m_prime = abs(table[(i, 1)].numerator)
-        m_dd = 1
-        for j in range(2, n // i + 1):
-            den = (table[(i, j)] / chain[i + 1]).denominator
-            m_dd = m_dd * den // gcd(m_dd, den)
-        chain[i] = m_prime * m_dd
-    return chain[1]
 
 
 def _rederive_atilde(n: int) -> dict[tuple[int, int], Fraction]:
@@ -262,17 +250,16 @@ def _verify_construction(cert: dict, digest_ok: bool, out: list[CheckResult]) ->
         )
     )
 
-    fresh_m = _recompute_m(n, fresh_table)
+    fresh_m = m_chain(n, fresh_table)[0]
     out.append(_check("M", M == fresh_m, "stored M={}, recomputed {}", M, fresh_m))
     out.append(_check("p_exceeds_M", p > fresh_m, "p={} is not above M={}", p, fresh_m))
 
     # Each lift convention is a window of q consecutive integers: [0, q) or |a| <= (q-1)/2.
     convention = cert["lift_convention"]
     windows = {"nonneg": 0, "symmetric": -(q // 2)}
-    low = windows.get(convention) if isinstance(convention, str) else None
+    held = [name for name, low in windows.items() if all(low <= a < low + q for a in lifts)]
     roots_ok = (
-        low is not None
-        and all(low <= a < low + q for a in lifts)
+        convention in held
         and len(lifts) == len(residues) == n + 1
         and len(set(residues)) == n + 1
         and all(pow(alpha, n + 1, q) == 1 for alpha in residues)
@@ -282,7 +269,7 @@ def _verify_construction(cert: dict, digest_ok: bool, out: list[CheckResult]) ->
     )
     out.append(_check("roots", roots_ok, "root family fails its identities or its lift range"))
 
-    sigma = _elementary_symmetric(lifts)[:n]
+    sigma = elementary_symmetric(lifts)[:n]
     out.append(
         _check(
             "sigma_divisibility",
@@ -361,6 +348,13 @@ def _verify_construction(cert: dict, digest_ok: bool, out: list[CheckResult]) ->
 
     assumptions_ok = cert["assumptions"] == list(CITED_ASSUMPTIONS)
     out.append(_check("assumptions", assumptions_ok, "stored assumptions are not the cited ones"))
+
+    # The lift note must be true of the lifts; roots ties lift_convention to them.
+    notes_ok = any(
+        (cert["notes"], cert["tau_note"]) == construction_notes(n, name, conditional=row.k is not None)
+        for name in held
+    )
+    out.append(_check("notes", notes_ok, "stored notes or tau note are not the ones n, r and the lifts give"))
 
     checks = cert["checks"]
     if not isinstance(checks, dict):
@@ -622,7 +616,7 @@ def _verify_prime(cert: dict, out: list[CheckResult]) -> None:
     p = decode_int(cert["prime"])
     M = decode_int(cert["M"])
 
-    fresh_m = _recompute_m(n, _rederive_atilde(n))
+    fresh_m = m_chain(n, _rederive_atilde(n))[0]
     out.append(_check("M", M == fresh_m, "stored M={}, recomputed {}", M, fresh_m))
 
     qualifies = (

@@ -171,6 +171,15 @@ GOLDEN_DIGESTS = {
     (5, 2, 127, "symmetric"): "d47bc563927556e1dccd3306e4a30bf4960c390aef73e340e0bb31fd24ce03fe",
     (6, 1, 127, "nonneg"): "8bf00038b6375489e0feedde44322a6b45ddacaba2f5a667a1fe406ff1c8ab74",
     (6, 2, 127, "symmetric"): "f250382b5915a01c06fb079991ab5a1476d3d02b2132d37ebb8c2476460627d8",
+    # p = find_prime(n), up to the top of the cap.
+    (8, 1, 5059, "nonneg"): "93cfcfa56ea7c9cd1939507ae959c554e99732b84d8b41d059f3b40551f7b3c1",
+    (8, 1, 5059, "symmetric"): "6d9e47ea18a2c4e25910358f2aa927809d0d4f2160f43fe3f922894af518c5e6",
+    (8, 2, 5059, "nonneg"): "dfee76ceb0f860d3db814af3bc8c56f243c791c1e41d7dd5375a9c8f01c718d9",
+    (8, 2, 5059, "symmetric"): "d3a371c915330af672f718a8128e3b5557e06631fd28f981584c7c2081d0897c",
+    (10, 1, 363067, "nonneg"): "6c449dbab60163dac353174a3ec58df90e4958dce1f3eade0cf79b7a1629d5f3",
+    (10, 1, 363067, "symmetric"): "71e3eaaaea351750d55c8f1fe7024eb5213476d0875ceb51abbc84a81baaa532",
+    (10, 2, 363067, "nonneg"): "f92de22c51b99cd1d3dce6abf0b58ac23b35421b53d7f385d34480fb92e8c04a",
+    (10, 2, 363067, "symmetric"): "8c2b1903edc5e1be5554b09cc02e611fc38025579b27160ec5831228fa6ea072",
 }
 
 

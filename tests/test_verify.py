@@ -242,6 +242,26 @@ def test_stored_assumptions_must_be_the_cited_ones(edit):
 
 @pytest.mark.parametrize(
     "edit",
+    [
+        lambda cert: cert.update(notes=["anything"]),
+        lambda cert: cert.update(tau_note="x"),
+        lambda cert: cert["notes"].pop(0),
+        lambda cert: cert["notes"].__setitem__(-1, "lifts are symmetric representatives in (-p^n/2, p^n/2)"),
+    ],
+    ids=["notes-replaced", "tau-note-replaced", "note-dropped", "lift-note-misstated"],
+)
+def test_stored_notes_must_be_the_ones_the_certificate_gives(edit):
+    # notes and tau_note used to go unread, so any text verified.
+    doc = construction_doc(2, 1, 13)
+    assert doc["certificate"]["notes"][-1] == "lifts are least nonnegative representatives"
+    edit(doc["certificate"])
+    report = verify_document(fix_digest(doc))
+    assert report.results[0].passed
+    assert [result.name for result in report.failures()] == ["notes"]
+
+
+@pytest.mark.parametrize(
+    "edit",
     [lambda checks: checks.clear(), lambda checks: checks.popitem(), lambda checks: checks.update(extra=True)],
     ids=["none", "one-dropped", "unknown"],
 )
