@@ -8,10 +8,12 @@ exactly in Q[w]/(w^3).  Every quantity below is exact.
 """
 
 from pgroupcert import (
+    OmegaSeries,
     atilde_table,
     certify,
     chern_G,
     compute_M,
+    direct_sum,
     find_roots,
     solve_deltas,
 )
@@ -40,9 +42,12 @@ print(f"atilde table: { {k: str(v) for k, v in table.items()} }")
 for k in (1, 2):
     print(f"c(G_{k}({sol.delta[k-1]})) = {chern_G(n, k, sol.delta[k-1], p)}")
 
-print("\n-- step 4: the product telescopes to 1 --")
-# The solver's one pass multiplied the line product by each class in turn.
-print(f"full product: {sol.chern_product}")
+print("\n-- step 4: the product is 1 --")
+# The solver took the deltas from the logarithm of the line product and
+# formed no product; multiply every class out here to see the cancellation.
+lines = [OmegaSeries.from_dict(n, {0: 1, 1: a * M * p}) for a in roots.lifts]
+classes = [chern_G(n, k, sol.delta[k - 1], p) for k in range(1, n + 1)]
+print(f"full product: {direct_sum(lines + classes)}")
 
 print("\n-- the same thing, packaged as a certificate --")
 cert = certify(n, 1, p)

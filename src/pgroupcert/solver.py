@@ -8,15 +8,16 @@ The pipeline, for an odd prime p = 1 mod (n+1) with p > M(n):
 2. the product of the line-bundle classes prod (1 + a_j M p omega) is read
    off the s_j by Vieta, 1 + sum s_j (M p)^j omega^j, and its one inverse
    gives integers b_j divisible by M p^(2j);
-3. one forward pass, starting from the line product T, solves for integers
-   delta_1..delta_n: step i takes delta_i = -T_i / (p^(2i) atilde_{i,1}),
-   asserting integrality, and multiplies T by c(G_i(delta_i)), which
-   clears omega^i and leaves omega^1..omega^(i-1) clear, since G_i has no
-   term below omega^i;
-4. the last T is the full product of total Chern classes, which certify
-   requires to be exactly 1, so the direct sum of the n+1 line powers and
-   the n pulled-back bundles has vanishing Chern classes; its rank is the
-   closed form n+1 + n(n+1)/2 * n!.
+3. the deltas come from a closed form, with no series product: as
+   atilde_{k,j} = atilde_{k,1}^j / j!, c(G_k(delta)) is
+   exp(delta p^(2k) atilde_{k,1} omega^k), and the omega^k coefficient of
+   log prod_j (1 + a_j M p omega) is T_k = (-1)^(k+1) (M p)^k P_k / k with
+   P_k = sum_j a_j^k, so the product of all classes is exactly 1 when
+   every delta_k = -T_k / (p^(2k) atilde_{k,1}) divides exactly.  The
+   check chern_product_is_one rests on that identity and those divisions;
+   the verifier multiplies the classes out instead.  The direct sum of the
+   n+1 line powers and the n pulled-back bundles then has vanishing Chern
+   classes and the closed-form rank n+1 + n(n+1)/2 * n!.
 
 Every certificate records all raw integers, so an independent checker can
 re-derive everything, and in ``checks`` the names of the identities
@@ -35,7 +36,7 @@ from typing import NamedTuple
 from . import certdoc, primes
 from .exterior import MAX_SYMMETRIZATION_N, atilde_table, construction_notes, m_chain
 from .groups import LambdaRow, lambda_row, max_abelian_exponent
-from .series import OmegaSeries, chern_G, elementary_symmetric
+from .series import OmegaSeries, elementary_symmetric
 
 DEFAULT_PRIME_CEILING = 10**6
 
@@ -181,27 +182,24 @@ class DeltaSolution(NamedTuple):
     delta: tuple[int, ...]
     b: tuple[int, ...]
     s: tuple[int, ...]
-    #: prod_j (1 + a_j M p omega) * prod_k c(G_k(delta_k)), the last T of the pass.
-    chern_product: OmegaSeries
 
 
 def solve_deltas(n: int, p: int, M: int, roots: RootFamily) -> DeltaSolution:
-    """Solve for integers delta_1..delta_n cancelling the line-power product, in one forward pass.
+    """Solve for integers delta_1..delta_n cancelling the line-power product, in closed form.
 
     roots.validate checks the family and returns its s_j, each divisible
-    by p^n.  The line product T = 1 + sum s_j (M p)^j omega^j is inverted
-    once for the b_j, which must be integers divisible by M p^(2j).  Step
-    i sets delta_i = -T_i / (p^(2i) atilde_{i,1}), which must divide
-    exactly, and multiplies T by c(G_i(delta_i)); the last T is returned
-    as the Chern product, for the caller to require to be 1.  A failed
-    divisibility raises DivisibilityError naming the step and the values.
+    by p^n.  The line product 1 + sum s_j (M p)^j omega^j is inverted
+    once for the b_j, which must be integers divisible by M p^(2j).  Each
+    delta_k = -T_k / (p^(2k) atilde_{k,1}) (module docstring), with the
+    power sums P_k from running powers of the lifts.  A failed
+    divisibility raises DivisibilityError naming k and the values.
     """
     if (roots.n, roots.p) != (n, p):
         raise PreconditionError("root family does not match (n, p)")
     s = roots.validate()
 
-    product = OmegaSeries(n, [1, *(s_j * (M * p) ** j for j, s_j in enumerate(s, start=1))])
-    inv = product.inverse()
+    line_product = OmegaSeries(n, [1, *(s_j * (M * p) ** j for j, s_j in enumerate(s, start=1))])
+    inv = line_product.inverse()
     b = []
     for j in range(1, n + 1):
         coeff = inv.coefficient(j)
@@ -216,18 +214,19 @@ def solve_deltas(n: int, p: int, M: int, roots: RootFamily) -> DeltaSolution:
 
     table = atilde_table(n)
     deltas: list[int] = []
-    for i in range(1, n + 1):
-        coeff = product.coefficient(i)
-        denom = Fraction(p) ** (2 * i) * table[(i, 1)]
-        delta_i = -coeff / denom
-        if delta_i.denominator != 1:
+    powers = [1] * len(roots.lifts)
+    for k in range(1, n + 1):
+        powers = [x * a for x, a in zip(powers, roots.lifts)]
+        log_coeff = Fraction((-1) ** (k + 1) * (M * p) ** k * sum(powers), k)
+        denom = p ** (2 * k) * table[(k, 1)]
+        delta_k = -log_coeff / denom
+        if delta_k.denominator != 1:
             raise DivisibilityError(
-                f"step i={i}: coefficient {coeff} of omega^{i} is not divisible by "
-                f"p^(2i)*atilde_{{{i},1}} = {denom}"
+                f"k={k}: the omega^{k} coefficient {log_coeff} of the logarithm of the line "
+                f"product is not divisible by p^(2k)*atilde_{{{k},1}} = {denom}"
             )
-        deltas.append(delta_i.numerator)
-        product = product * chern_G(n, i, deltas[-1], p)
-    return DeltaSolution(tuple(deltas), tuple(b), s, chern_product=product)
+        deltas.append(delta_k.numerator)
+    return DeltaSolution(tuple(deltas), tuple(b), s)
 
 
 # -- certificates -----------------------------------------------------------
@@ -249,7 +248,6 @@ class ConstructionCertificate(NamedTuple):
     b: tuple[int, ...]
     delta: tuple[int, ...]
     atilde: dict[tuple[int, int], Fraction]
-    chern_product: OmegaSeries
     rank: int
     tau: int
     tau_note: str
@@ -283,8 +281,9 @@ def certify(n: int, r: int, p: int, lift: str = "nonneg") -> ConstructionCertifi
     The identities named in certdoc.CONSTRUCTION_CHECKS are decided where
     they are produced, and a failed one raises CertificationError: the root
     family, sigma_j and the lifts being units mod p by RootFamily.validate
-    (M is a unit since p > M), b and delta in solve_deltas, the Chern
-    product and the r = 1 abelian bound here, the rank by its closed form.
+    (M is a unit since p > M), b and delta (hence the Chern product, by
+    the logarithm identity) in solve_deltas, the r = 1 abelian bound here,
+    the rank by its closed form.
     """
     if r < 1:
         raise PreconditionError("r must be at least 1")
@@ -299,10 +298,6 @@ def certify(n: int, r: int, p: int, lift: str = "nonneg") -> ConstructionCertifi
 
     roots = find_roots(n, p, lift=lift)
     solution = solve_deltas(n, p, M, roots)
-    if not solution.chern_product.is_one():
-        raise CertificationError(
-            f"product of total Chern classes is not 1: {solution.chern_product!r}"
-        )
     if r == 1 and max_abelian_exponent(n, p) != row.abelian_exponent:
         raise CertificationError(
             f"the Heisenberg group at (n, p) = ({n}, {p}) does not have abelian exponent "
@@ -326,7 +321,6 @@ def certify(n: int, r: int, p: int, lift: str = "nonneg") -> ConstructionCertifi
         b=solution.b,
         delta=solution.delta,
         atilde=atilde_table(n),
-        chern_product=solution.chern_product,
         rank=rank,
         tau=rank,
         tau_note=tau_note,

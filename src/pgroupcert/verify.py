@@ -6,8 +6,9 @@ symmetrization table, by counting the block splittings in the subset
 product prod_{|S|=k} (1 + eps_k k!(n-k)! y_S) of the subring y_i = u_i v_i
 (the producer reads the same table from its closed form instead), M from
 that table, the line product by multiplying out the lifts (the producer
-reads it off the symmetric functions), the Chern product and the matrix
-congruences.
+reads it off the symmetric functions), the Chern product, by multiplying
+out every class (the producer never forms it: its deltas come from the
+logarithm in closed form), and the matrix congruences.
 
 It shares with the producer what a copy would not derive a second time:
 
@@ -32,7 +33,8 @@ A content digest binds each document.  Checks that would be expensive to
 re-run are skipped (and reported as not run) once the digest has already
 failed, since the document is rejected either way.  The digest is not a
 signature, though, so the size parameters of every document kind are
-bounded before any arithmetic depends on them, a failure detail shows an
+bounded before any arithmetic depends on them (a construction's p too, by
+is_prime's deterministic range), a failure detail shows an
 integer past 4300 digits by its bit length, a stored power of p is
 compared by bit length before the power is computed, and the brute-force
 group oracle runs under the verifier's own budget, never the one a report
@@ -209,13 +211,14 @@ def _verify_construction(cert: dict, digest_ok: bool, out: list[CheckResult]) ->
     n = decode_int(cert["n"])
     r = decode_int(cert["r"])
     p = decode_int(cert["p"])
-    params_ok = 1 <= n <= MAX_SYMMETRIZATION_N and r >= 1 and p >= 3 and p % 2 == 1
+    # Every series check does arithmetic in p; certify cannot reach a p past is_prime's range.
+    params_ok = 1 <= n <= MAX_SYMMETRIZATION_N and r >= 1 and 3 <= p < primes.DETERMINISTIC_LIMIT and p % 2 == 1
     out.append(
         _check(
             "params",
             params_ok,
-            "bad parameters n={}, r={}, p={} (need 1 <= n <= {}, r >= 1 and an odd p >= 3)",
-            n, r, p, MAX_SYMMETRIZATION_N,
+            "bad parameters n={}, r={}, p={} (need 1 <= n <= {}, r >= 1 and an odd p with 3 <= p < {})",
+            n, r, p, MAX_SYMMETRIZATION_N, primes.DETERMINISTIC_LIMIT,
         )
     )
     if not params_ok:

@@ -2,16 +2,18 @@
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
 
 import pytest
 
-from pgroupcert import certdoc, primes, solver
-from pgroupcert.exterior import atilde_table
+import chern_oracle
+from pgroupcert import certdoc, exterior, primes, series, solver
+from pgroupcert.exterior import MAX_SYMMETRIZATION_N, atilde_table
 from pgroupcert.groups import epsilon_witness, lambda_row
 from pgroupcert.series import OmegaSeries
 from pgroupcert.solver import (
     CertificationError,
+    DivisibilityError,
     PreconditionError,
     RootFamily,
     SearchExhausted,
@@ -152,6 +154,13 @@ def test_compute_M_values():
     assert compute_M(4) == 6
 
 
+@pytest.mark.parametrize("n", range(1, MAX_SYMMETRIZATION_N + 1))
+def test_M_is_n_factorial_for_small_or_prime_n_and_else_n_minus_1_factorial(n):
+    # An observed pattern of the paper's recursion (m_chain), pinned up to the cap.
+    expected = factorial(n) if n <= 3 or primes.is_prime(n) else factorial(n - 1)
+    assert compute_M(n) == expected
+
+
 def test_M_recursion_witnesses_n2():
     # m_2 = 1 (atilde_{2,1} = -1), m_1' = 1, m_1'' = 2 (atilde_{1,2} = 1/2)
     from pgroupcert.solver import _m_chain
@@ -224,18 +233,35 @@ def test_solve_deltas_shifted_lifts_still_cancel():
         lift_convention="shifted",
     )
     sol = solve_deltas(n, p, M, shifted)
-    assert sol.chern_product.is_one()
-    product = OmegaSeries.one(n)
-    for a in shifted.lifts:
-        product = product * OmegaSeries.from_dict(n, {0: 1, 1: a * M * p})
-    table = atilde_table(n)
-    for i in (1, 2):
-        entries = {0: F(1)}
-        for j in range(1, n // i + 1):
-            entries[j * i] = F(sol.delta[i - 1]) ** j * F(p) ** (2 * j * i) * table[(i, j)]
-        product = product * OmegaSeries.from_dict(n, entries)
-    assert product.is_one()
+    assert chern_oracle.chern_product(n, p, M, shifted.lifts, sol.delta, atilde_table(n)).is_one()
     assert sol.delta != solve_deltas(n, p, M, base).delta
+
+
+def _two_primes(n):
+    """find_prime(n) and the next prime that qualifies."""
+    first = find_prime(n)
+    return first, find_prime(n, min_p=first + 1)
+
+
+@pytest.mark.parametrize("lift", ["nonneg", "symmetric"])
+@pytest.mark.parametrize("n", range(1, MAX_SYMMETRIZATION_N + 1))
+def test_closed_form_deltas_are_the_forward_pass_deltas(n, lift):
+    # Negative lifts make the odd power sums change sign.
+    M, table = compute_M(n), atilde_table(n)
+    for p in _two_primes(n):
+        family = find_roots(n, p, lift=lift)
+        sol = solve_deltas(n, p, M, family)
+        assert sol.delta == chern_oracle.forward_pass_deltas(n, p, M, family.lifts, table), p
+        assert chern_oracle.chern_product(n, p, M, family.lifts, sol.delta, table).is_one(), p
+
+
+def test_a_delta_that_does_not_divide_exactly_is_a_divisibility_error():
+    # With M = 1 in place of M(2) = 2 the b_j still divide, but delta_2 does not.
+    family = find_roots(2, 7)
+    forward = chern_oracle.forward_pass_deltas(2, 7, 1, family.lifts, atilde_table(2))
+    assert forward[0].denominator == 1 and forward[1].denominator != 1
+    with pytest.raises(DivisibilityError, match=r"k=2: .* not divisible by p\^\(2k\)\*atilde_\{2,1\} = -2401"):
+        solve_deltas(2, 7, 1, family)
 
 
 # The cube roots of unity mod 49 are 1, 18 and 30.
@@ -291,7 +317,7 @@ def test_certify_1_1_3():
     assert cert.row.bound == F(2, 3)
     assert cert.rank == cert.tau == 3
     assert cert.tau_best_known == 2
-    assert cert.chern_product.is_one()
+    assert chern_oracle.chern_product(1, 3, cert.M, cert.a, cert.delta, cert.atilde).is_one()
 
 
 def test_certify_2_1_7():
@@ -304,12 +330,33 @@ def test_certify_2_1_7():
 
 @pytest.mark.parametrize("n,p", [(1, 3), (2, 7), (3, 13)])
 def test_certify_builds_each_G_class_once(monkeypatch, n, p):
+    # The deltas come from the closed form, so no class c(G_k) is built at all.
+    assert not hasattr(solver, "chern_G")
     calls = []
-    real = solver.chern_G
-    monkeypatch.setattr(solver, "chern_G", lambda *args: calls.append(args) or real(*args))
+    real = series.chern_G
+    monkeypatch.setattr(series, "chern_G", lambda *args: calls.append(args) or real(*args))
     cert = certify(n, 1, p)
-    assert calls == [(n, k, cert.delta[k - 1], p) for k in range(1, n + 1)]
-    assert cert.chern_product.is_one()
+    assert calls == []
+    assert chern_oracle.chern_product(n, p, cert.M, cert.a, cert.delta, cert.atilde).is_one()
+
+
+@pytest.mark.parametrize("n", [1, 6, 10])
+def test_certify_builds_the_atilde_table_at_most_three_times(monkeypatch, n):
+    # Once for M (cached per n, cleared here), once for the deltas, once for the stored table.
+    p = find_prime(n)
+    calls = []
+    real = exterior.atilde_table
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    for module in (exterior, series, solver):
+        monkeypatch.setattr(module, "atilde_table", counted)
+    solver._m_chain.cache_clear()
+    certify(n, 1, p)
+    solver._m_chain.cache_clear()
+    assert calls == [n] * len(calls) and len(calls) <= 3
 
 
 def test_certify_preconditions():
@@ -339,17 +386,16 @@ def test_certify_validates_the_roots_and_tests_p_for_primality_once(monkeypatch,
 
 @pytest.mark.parametrize("n", [3, 6, 10])
 def test_certify_inverts_once_and_multiplies_once_per_class(monkeypatch, n):
-    # The forward pass multiplies the line product by each c(G_i) in turn, and
-    # only the b_j need an inverse; verify inverts the line product once too.
+    # The deltas come from the closed form, so certify makes no series product;
+    # only the b_j need an inverse.  verify inverts the line product once too.
     p = find_prime(n)
     inverses, products = [], []
     real_inverse, real_mul = OmegaSeries.inverse, OmegaSeries.__mul__
     monkeypatch.setattr(OmegaSeries, "inverse", lambda a: inverses.append(a) or real_inverse(a))
     monkeypatch.setattr(OmegaSeries, "__mul__", lambda a, b: products.append(a) or real_mul(a, b))
     cert = certify(n, 1, p)
-    assert cert.chern_product.is_one()
     assert len(inverses) == 1
-    assert len(products) <= n
+    assert products == []
     doc = certdoc.build_document(
         "construction", "certify", {"n": n, "r": 1, "p": p, "lifts": "nonneg"}, certdoc.construction_payload(cert)
     )

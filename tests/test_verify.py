@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from pgroupcert import certdoc, products, symplectic, verify
+from pgroupcert import certdoc, primes, products, symplectic, verify
 from pgroupcert.exterior import MAX_SYMMETRIZATION_N
 from pgroupcert.groups import (
     BRUTE_WORK_BUDGET,
@@ -643,6 +643,22 @@ def test_construction_p_is_rejected_by_params(p):
     report = verify_document(fix_digest(doc))
     assert report.results[0].passed
     assert [result.name for result in report.failures()] == ["params"]
+
+
+@pytest.mark.parametrize(
+    "p", [primes.DETERMINISTIC_LIMIT, 2**524_000 + 1], ids=["at-the-limit", "524001-bit"]
+)
+def test_construction_p_past_the_primality_range_is_rejected_by_params_at_once(p):
+    # Every series check does arithmetic in p, so params refuses such a p before any of them.
+    doc = construction_doc(10, 1, find_prime(10))
+    doc["certificate"]["p"] = certdoc.encode_int(p)
+    doc = fix_digest(doc)
+    start = time.perf_counter()
+    report = verify_document(doc)
+    elapsed = time.perf_counter() - start
+    assert report.results[0].passed
+    assert [result.name for result in report.failures()] == ["params"]
+    assert elapsed < 1.0
 
 
 def _set_row_r(doc, r):
