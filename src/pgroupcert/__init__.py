@@ -57,7 +57,6 @@ _MODULE_EXPORTS = {
     ),
     "symplectic": (
         "BudgetExceeded",
-        "Subspace",
         "SymplecticForm",
         "enumerate_isotropic",
         "gaussian_binomial",

@@ -283,7 +283,9 @@ def certify(n: int, r: int, p: int, lift: str = "nonneg") -> ConstructionCertifi
     family, sigma_j and the lifts being units mod p by RootFamily.validate
     (M is a unit since p > M), b and delta (hence the Chern product, by
     the logarithm identity) in solve_deltas, the r = 1 abelian bound here,
-    the rank by its closed form.
+    the rank by its closed form.  p > M(n) is the paper's hypothesis, not a
+    consequence of those identities: they hold at primes = 1 mod (n+1) below
+    M(n) too, so it is checked here and never derived.
     """
     if r < 1:
         raise PreconditionError("r must be at least 1")

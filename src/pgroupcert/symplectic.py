@@ -1,17 +1,17 @@
-"""Linear algebra over F_p: symplectic forms, canonical subspaces, isotropic enumeration.
+"""Linear algebra over F_p: symplectic forms, echelon bases, isotropic enumeration.
 
 Matrices are tuples of int tuples and every operation on them is exact
 integer arithmetic reduced mod p, so entries of any size, and primes of
 any size, give the same answer as their residues.
 
-Subspaces are represented by their reduced row echelon basis, which is a
-unique canonical form, so subspace equality is matrix equality and
-enumeration by pivot pattern visits every subspace exactly once.  The
-number of k-dimensional subspaces of F_p^m is the Gaussian binomial
-coefficient; it gates each exhaustive enumeration against a budget.
-Rank, and so invertibility and the nondegeneracy of a form, is decided by
-forward elimination alone; back-substitution runs only where a canonical
-basis is wanted, in rref_mod_p.
+A subspace is its reduced row echelon basis, a tuple of row tuples.  That
+basis is unique, so subspace equality is matrix equality and enumeration
+by pivot pattern visits every subspace exactly once.  The number of
+k-dimensional subspaces of F_p^m is the Gaussian binomial coefficient; it
+gates each exhaustive enumeration against a budget.  The library only
+does forward elimination: it decides rank, and so invertibility and the
+nondegeneracy of a form, and the search builds its echelon bases
+directly, so no basis is ever row-reduced.
 
 The isotropic search grows echelon bases row by row and prunes a partial
 basis as soon as two of its rows pair nonzero under some form, so it
@@ -101,23 +101,6 @@ def _echelon_mod_p(work: list[list[int]], p: int) -> list[int]:
         if r == height:
             break
     return pivots
-
-
-def rref_mod_p(rows: Sequence[Sequence[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form over F_p; returns (nonzero rows, pivot columns)."""
-    work = [[int(x) % p for x in row] for row in rows]
-    pivots = _echelon_mod_p(work, p)
-    # Back-substitution, last pivot first: scale each pivot row to a leading 1
-    # and clear its pivot column above it.
-    for r in range(len(pivots) - 1, -1, -1):
-        c = pivots[r]
-        inv = pow(work[r][c], -1, p)
-        row = work[r] = [x * inv % p for x in work[r]]
-        for i in range(r):
-            f = work[i][c]
-            if f:
-                work[i] = [(a - f * b) % p for a, b in zip(work[i], row)]
-    return work[: len(pivots)], pivots
 
 
 def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
@@ -226,62 +209,6 @@ def _standard_form(n: int, p: int) -> SymplecticForm:
     return SymplecticForm(p, _as_matrix(m, p))
 
 
-class _SubspaceFields(NamedTuple):
-    p: int
-    basis: Matrix
-
-
-class Subspace(_SubspaceFields):
-    """A subspace of F_p^m in reduced row echelon form (unique per subspace).
-
-    An immutable (p, basis) record, compared and hashed by value, so equal
-    subspaces are equal records.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, p: int, basis: Matrix) -> "Subspace":
-        # The reduced echelon shape, read off directly: entries in range(p),
-        # each row led by a 1 right of the previous row's leading 1, and each
-        # pivot column zero outside its own row.
-        width = len(basis[0]) if basis else 0
-        pivots: list[int] = []
-        for row in basis:
-            lead = next((j for j, x in enumerate(row) if x), None)
-            if (
-                len(row) != width
-                or not all(x in range(p) for x in row)
-                or lead is None
-                or row[lead] != 1
-                or (pivots and lead <= pivots[-1])
-            ):
-                raise ValueError("basis is not in reduced row echelon form")
-            pivots.append(lead)
-        for i, row in enumerate(basis):
-            if any(row[c] for j, c in enumerate(pivots) if j != i):
-                raise ValueError("basis is not in reduced row echelon form")
-        return super().__new__(cls, p, basis)
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    @property
-    def ambient(self) -> int:
-        return len(self.basis[0]) if self.basis else 0
-
-    @classmethod
-    def from_vectors(cls, p: int, vectors: Sequence[Sequence[int]]) -> "Subspace":
-        reduced, _ = rref_mod_p(vectors, p)
-        return cls(p, tuple(tuple(row) for row in reduced))
-
-    def is_isotropic_for(self, form: SymplecticForm) -> bool:
-        return all(
-            form.evaluate(a, b) == 0
-            for a, b in itertools.combinations_with_replacement(self.basis, 2)
-        )
-
-
 def gaussian_binomial(m: int, k: int, p: int) -> int:
     """Number of k-dimensional subspaces of F_p^m."""
     if k < 0 or k > m:
@@ -347,8 +274,8 @@ def enumerate_isotropic(
     forms: Sequence[SymplecticForm],
     k: int,
     budget: int = DEFAULT_SUBSPACE_BUDGET,
-) -> list[Subspace]:
-    """All k-dimensional subspaces isotropic for every listed form, sorted by basis.
+) -> list[Matrix]:
+    """The reduced echelon bases of all k-dimensional subspaces isotropic for every form, sorted.
 
     The search is exhaustive: per pivot pattern it grows echelon bases
     row by row from the last row, and drops a partial basis as soon as a
@@ -364,18 +291,23 @@ def enumerate_isotropic(
         raise ValueError("k must be nonnegative")
     if not forms:
         raise ValueError("need at least one form")
-    p = forms[0].p
-    dim = forms[0].dim
+    p, dim = forms[0].p, forms[0].dim
     for f in forms:
         if f.p != p or f.dim != dim:
             raise ValueError("forms must share p and dimension")
     if 2 * k > dim:
         return []
+    return _pivot_walk(forms, k, budget)
+
+
+def _pivot_walk(forms: Sequence[SymplecticForm], k: int, budget: int) -> list[Matrix]:
+    """The budgeted search of enumerate_isotropic, run over every pivot pattern at any k."""
+    p, dim = forms[0].p, forms[0].dim
     total = gaussian_binomial(dim, k, p)
     if total > budget:
         raise BudgetExceeded(total, budget)
     if k == 0:
-        return [Subspace(p, ())]
+        return [()]
 
     grams = [f.matrix for f in forms]
     cache: dict[Row, tuple[Row, ...]] = {}
@@ -394,7 +326,7 @@ def enumerate_isotropic(
         decided += count
         survivors.extend(bases)
     assert decided == total, f"decided {decided} subspaces, expected {total}"
-    return [Subspace(p, basis) for basis in sorted(survivors)]
+    return sorted(survivors)
 
 
 def max_common_isotropic_dim(

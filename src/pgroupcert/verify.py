@@ -208,6 +208,11 @@ def _skipped(name: str) -> CheckResult:
 
 
 def _verify_construction(cert: dict, digest_ok: bool, out: list[CheckResult]) -> None:
+    """Re-derive a construction certificate's checks into out.
+
+    p_exceeds_M is checked, not derived: p > M(n) is the paper's hypothesis,
+    and every other recorded identity also holds at primes = 1 mod (n+1) below M(n).
+    """
     n = decode_int(cert["n"])
     r = decode_int(cert["r"])
     p = decode_int(cert["p"])

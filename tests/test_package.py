@@ -21,7 +21,7 @@ EXPORTED = {
     "CertificationError", "ConstructionCertificate", "DeltaSolution", "DivisibilityError",
     "PreconditionError", "RootFamily", "SearchExhausted", "certify", "compute_M",
     "find_prime", "find_roots", "lambda_table", "rank_formula", "solve_deltas",
-    "BudgetExceeded", "Subspace", "SymplecticForm", "enumerate_isotropic", "gaussian_binomial",
+    "BudgetExceeded", "SymplecticForm", "enumerate_isotropic", "gaussian_binomial",
     "VerificationReport", "verify_document",
 }
 
@@ -120,12 +120,11 @@ def test_cli_loads_neither_dataclasses_nor_inspect():
 
 def test_records_are_read_only():
     from pgroupcert.groups import lambda_row
-    from pgroupcert.symplectic import Subspace, SymplecticForm
+    from pgroupcert.symplectic import SymplecticForm
     from pgroupcert.verify import CheckResult
 
     records = [
         (SymplecticForm.standard(1, 3), "matrix"),
-        (Subspace.from_vectors(3, [(1, 2, 0, 1)]), "basis"),
         (lambda_row(2, 3), "bound"),
         (CheckResult("params", True), "passed"),
     ]

@@ -255,6 +255,24 @@ def test_closed_form_deltas_are_the_forward_pass_deltas(n, lift):
         assert chern_oracle.chern_product(n, p, M, family.lifts, sol.delta, table).is_one(), p
 
 
+# The least three primes = 1 (mod n+1) per n, every one at or below M(n).
+PRIMES_AT_OR_BELOW_M = {5: (7, 13, 19), 6: (29, 43, 71), 7: (17, 41, 73), 8: (19, 37, 73), 9: (11, 31, 41), 10: (23, 67, 89)}
+
+
+@pytest.mark.parametrize("n, p", [(n, p) for n, ps in PRIMES_AT_OR_BELOW_M.items() for p in ps])
+def test_p_exceeds_M_is_checked_but_not_derived(n, p):
+    # Every recorded identity holds at these primes; only the paper's hypothesis
+    # p > M(n) excludes them, and certify still refuses them.
+    M = compute_M(n)
+    assert primes.is_odd_prime(p) and p % (n + 1) == 1 and p <= M
+    for lift in ("nonneg", "symmetric"):
+        family = find_roots(n, p, lift=lift)
+        sol = solve_deltas(n, p, M, family)
+        assert chern_oracle.chern_product(n, p, M, family.lifts, sol.delta, atilde_table(n)).is_one()
+        with pytest.raises(PreconditionError, match=r"need p > M\(n\)"):
+            certify(n, 1, p, lift=lift)
+
+
 def test_a_delta_that_does_not_divide_exactly_is_a_divisibility_error():
     # With M = 1 in place of M(2) = 2 the b_j still divide, but delta_2 does not.
     family = find_roots(2, 7)

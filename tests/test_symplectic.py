@@ -1,4 +1,4 @@
-"""Symplectic forms, canonical subspaces, exhaustive isotropic enumeration."""
+"""Symplectic forms, subspaces as echelon bases, exhaustive isotropic enumeration."""
 
 import functools
 import random
@@ -11,18 +11,16 @@ from hypothesis import strategies as st
 from pgroupcert.products import olshanskii_search
 from pgroupcert.symplectic import (
     BudgetExceeded,
-    Subspace,
     SymplecticForm,
     enumerate_isotropic,
     gaussian_binomial,
     is_invertible,
     random_invertible,
     rank_mod_p,
-    rref_mod_p,
 )
 from pgroupcert import symplectic
 from form_oracle import full_pullback_gram, row_space
-from subspace_oracle import enumerate_subspaces, isotropic_by_pivot_walk
+from subspace_oracle import enumerate_subspaces, is_isotropic, isotropic_by_pivot_walk
 
 
 def test_standard_form_evaluation():
@@ -55,12 +53,6 @@ def test_pullback_gram():
             assert pulled.evaluate(u, v) == form.evaluate(au, av)
 
 
-def test_rref_canonical():
-    rows, pivots = rref_mod_p([[2, 4, 0], [1, 2, 1]], 5)
-    assert rows == [[1, 2, 0], [0, 0, 1]]
-    assert pivots == [0, 2]
-
-
 @st.composite
 def _small_matrices(draw):
     """Matrices of any shape over F_3, F_5 or F_7, entries outside range(p) included,
@@ -87,11 +79,6 @@ def test_elimination_agrees_with_the_row_space(case):
     assert p**rank == len(span)
     if rows and len(rows) == width:
         assert is_invertible(rows, p) == (rank == width)
-    reduced, pivots = rref_mod_p(rows, p)
-    basis = tuple(map(tuple, reduced))
-    assert Subspace(p, basis).basis == basis
-    assert len(pivots) == rank
-    assert row_space(reduced, p, width) == span
 
 
 @pytest.mark.parametrize("n, p", [(1, 3), (2, 3), (2, 5), (3, 7), (4, 3)])
@@ -141,15 +128,6 @@ def test_a_form_fault_is_named_by_the_first_pair_a_row_major_scan_meets(faults, 
         SymplecticForm(5, tuple(map(tuple, bad)))
 
 
-def test_subspace_uniqueness():
-    s1 = Subspace.from_vectors(3, [(1, 1, 0, 0), (0, 0, 1, 2)])
-    s2 = Subspace.from_vectors(3, [(1, 1, 1, 2), (2, 2, 1, 2)])
-    assert s1 == s2 and hash(s1) == hash(s2)
-    assert len({s1, s2, Subspace.from_vectors(3, [(1, 0, 0, 0)])}) == 2
-    with pytest.raises(ValueError):
-        Subspace(3, ((2, 0, 0, 0),))  # not reduced
-
-
 def test_gaussian_binomial_values():
     assert gaussian_binomial(2, 1, 3) == 4
     assert gaussian_binomial(4, 1, 3) == 40
@@ -196,7 +174,7 @@ def test_lagrangian_count():
         lagrangians = enumerate_isotropic([form], n)
         assert len(lagrangians) == expected
         for sub in lagrangians:
-            assert sub.is_isotropic_for(form)
+            assert is_isotropic(sub, form)
 
 
 def test_enumerate_isotropic_k_above_dim_is_empty():
@@ -257,10 +235,7 @@ def test_enumerate_isotropic_matches_oracle(half, p, count, seed):
     for k in range(2 * half + 1):
         if gaussian_binomial(2 * half, k, p) > ORACLE_SUBSPACES:
             continue
-        expected = sorted(
-            (s for s in _all_subspaces(2 * half, p, k) if all(s.is_isotropic_for(f) for f in forms)),
-            key=lambda s: s.basis,
-        )
+        expected = sorted(s for s in _all_subspaces(2 * half, p, k) if all(is_isotropic(s, f) for f in forms))
         assert enumerate_isotropic(forms, k) == expected
 
 
@@ -268,59 +243,6 @@ def test_flagship_family_has_no_common_isotropic_6_space():
     spec = olshanskii_search(4, 4, 3, seed=7)
     assert spec.k == 6
     assert isotropic_by_pivot_walk(list(spec.forms), 6) == []
-
-
-def _rref_accepts(p, basis):
-    """The former Subspace check: a basis is valid when row reduction leaves it unchanged."""
-    if not basis:
-        return True
-    reduced, _ = rref_mod_p(basis, p)
-    return tuple(tuple(row) for row in reduced) == basis
-
-
-def _subspace_accepts(p, basis):
-    try:
-        Subspace(p, basis)
-    except ValueError:
-        return False
-    return True
-
-
-@st.composite
-def _small_bases(draw):
-    p = draw(st.sampled_from([2, 3, 5]))
-    cols = draw(st.integers(1, 5))
-    rows = draw(st.lists(st.lists(st.integers(-1, p), min_size=cols, max_size=cols), max_size=4))
-    if draw(st.booleans()):
-        # Most random matrices are not reduced; their reduced forms, with at
-        # most one entry changed, cover the bases that pass and the near misses.
-        rows, _ = rref_mod_p(rows, p)
-        if rows and draw(st.booleans()):
-            i = draw(st.integers(0, len(rows) - 1))
-            j = draw(st.integers(0, cols - 1))
-            rows[i][j] = draw(st.integers(-1, p))
-    return p, tuple(tuple(row) for row in rows)
-
-
-@settings(max_examples=300, deadline=None)
-@given(case=_small_bases())
-def test_subspace_check_matches_row_reduction(case):
-    p, basis = case
-    assert _subspace_accepts(p, basis) == _rref_accepts(p, basis)
-
-
-def test_subspace_check_rejects_each_shape_fault():
-    assert _subspace_accepts(3, ((1, 0, 2), (0, 1, 1)))
-    for basis in [
-        ((1, 0, 3),),  # entry outside range(p)
-        ((1, 0, -1),),  # negative entry
-        ((0, 0, 0),),  # zero row
-        ((0, 2, 1),),  # leading entry not 1
-        ((0, 1, 0), (1, 0, 0)),  # pivots not increasing
-        ((1, 1, 0), (0, 1, 0)),  # pivot column nonzero in another row
-        ((1, 0, 0), (0, 1)),  # ragged rows
-    ]:
-        assert not _subspace_accepts(3, basis), basis
 
 
 @settings(max_examples=30, deadline=None)

@@ -195,6 +195,17 @@ def test_residue_mutation_fails_roots():
     assert any(r.name == "roots" for r in report.failures())
 
 
+def test_a_residue_stored_unreduced_fails_roots():
+    # The same residue mod q = 49, stored as itself plus q: it is still a distinct
+    # root of x^3 = 1 mod q that its lift reduces to, so only closure under
+    # multiplication, whose products are reduced, tells it apart.
+    doc = construction_doc(2, 1, 7)
+    bad = fix_digest(mutate(doc, ["residues", 1], 49))
+    report = verify_document(bad)
+    assert report.results[0].passed
+    assert [result.name for result in report.failures()] == ["roots"]
+
+
 def test_stored_chern_product_must_be_the_unit_series_at_n():
     # A unit series of the wrong length used to pass: only is_one() was asked of it.
     doc = construction_doc(2, 1, 13)
