@@ -122,8 +122,8 @@ def encode_fraction(value: Fraction | int) -> dict[str, str]:
 
 
 def decode_fraction(value: Any) -> Fraction:
-    if not isinstance(value, dict) or set(value) != {"num", "den"}:
-        raise ParseError(f"expected a num/den pair, got {value!r}")
+    if not isinstance(value, dict) or set(value) != {"num", "den"} or decode_int(value["den"]) == 0:
+        raise ParseError(f"expected a num/den pair with a nonzero den, got {value!r}")
     return Fraction(decode_int(value["num"]), decode_int(value["den"]))
 
 

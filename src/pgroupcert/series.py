@@ -7,8 +7,8 @@ c_0..c_n, is the one type for them: a line power's class is
 bundle, and direct_sum multiplies classes.  Ranks are not carried; the
 construction's rank is the closed form solver.rank_formula.  The product
 of the line classes 1 + a_j x is 1 + sum_j sigma_j x^j, with sigma_j from
-elementary_symmetric.  The solver takes the deltas from a closed form and
-builds none of the classes; the verifier multiplies them out.
+elementary_symmetric.  Neither solver nor verifier builds the classes: both
+go through the logarithm, and tests/chern_oracle.py multiplies them out.
 
 A series is the total Chern class of an actual bundle exactly when
 c_0 = 1 and the underlying cohomology class is integral; since omega^j

@@ -14,10 +14,10 @@ The pipeline, for an odd prime p = 1 mod (n+1) with p > M(n):
    log prod_j (1 + a_j M p omega) is T_k = (-1)^(k+1) (M p)^k P_k / k with
    P_k = sum_j a_j^k, so the product of all classes is exactly 1 when
    every delta_k = -T_k / (p^(2k) atilde_{k,1}) divides exactly.  The
-   check chern_product_is_one rests on that identity and those divisions;
-   the verifier multiplies the classes out instead.  The direct sum of the
-   n+1 line powers and the n pulled-back bundles then has vanishing Chern
-   classes and the closed-form rank n+1 + n(n+1)/2 * n!.
+   check chern_product_is_one rests on that identity and those divisions,
+   and verify checks it at each k, and its own table's exponential shape.
+   The direct sum of the n+1 line powers and the n pulled-back bundles then
+   has vanishing Chern classes and the closed-form rank n+1 + n(n+1)/2 * n!.
 
 Every certificate records all raw integers, so an independent checker can
 re-derive everything, and in ``checks`` the names of the identities
@@ -78,7 +78,11 @@ class RootFamily(NamedTuple):
     lift_convention: str
 
     def validate(self) -> tuple[int, ...]:
-        """Check the family's identities; return sigma_1..sigma_n of the lifts, each divisible by p^n."""
+        """Check the family's identities; return sigma_1..sigma_n of the lifts, each divisible by p^n.
+
+        Closure is multiplied out, not proved by cyclicity as verify does: a hand-built family's
+        p may be undecided (at p = 15, the roots 4 and 11 of x^2 = 1 are not closed).
+        """
         n, p = self.n, self.p
         q = p**n
         if len(self.residues) != n + 1 or len(set(self.residues)) != n + 1:
@@ -87,10 +91,8 @@ class RootFamily(NamedTuple):
             if pow(alpha, n + 1, q) != 1:
                 raise CertificationError(f"{alpha} is not an (n+1)-st root of unity mod {q}")
         residue_set = set(self.residues)
-        for a in self.residues:
-            for b in self.residues:
-                if a * b % q not in residue_set:
-                    raise CertificationError("residues are not closed under multiplication")
+        if any(a * b % q not in residue_set for a in self.residues for b in self.residues):
+            raise CertificationError("residues are not closed under multiplication")
         for a, alpha in zip(self.lifts, self.residues):
             # A lift divisible by p would reduce to a non-unit, never to a root.
             if a % q != alpha % q:

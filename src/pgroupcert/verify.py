@@ -6,9 +6,9 @@ symmetrization table, by counting the block splittings in the subset
 product prod_{|S|=k} (1 + eps_k k!(n-k)! y_S) of the subring y_i = u_i v_i
 (the producer reads the same table from its closed form instead), M from
 that table, the line product by multiplying out the lifts (the producer
-reads it off the symmetric functions), the Chern product, by multiplying
-out every class (the producer never forms it: its deltas come from the
-logarithm in closed form), and the matrix congruences.
+reads it off the symmetric functions), the Chern product by the logarithm
+(its own table's shape atilde_{k,j} = atilde_{k,1}^j / j! and, at each k,
+k delta_k p^(2k) atilde_{k,1} = (-M p)^k P_k), and the matrix congruences.
 
 It shares with the producer what a copy would not derive a second time:
 
@@ -210,6 +210,8 @@ def _skipped(name: str) -> CheckResult:
 def _verify_construction(cert: dict, digest_ok: bool, out: list[CheckResult]) -> None:
     """Re-derive a construction certificate's checks into out.
 
+    roots holds by cyclicity, and chern_product by the exponential shape of the
+    verifier's own table and the logarithm identity at each k (see the comments).
     p_exceeds_M is checked, not derived: p > M(n) is the paper's hypothesis,
     and every other recorded identity also holds at primes = 1 mod (n+1) below M(n).
     """
@@ -236,14 +238,8 @@ def _verify_construction(cert: dict, digest_ok: bool, out: list[CheckResult]) ->
     delta = decode_int_list(cert["delta"])
     q = p**n
 
-    out.append(
-        _check(
-            "prime",
-            primes.is_odd_prime(p) and p % (n + 1) == 1,
-            "p={} is not an odd prime congruent to 1 mod {}",
-            p, n + 1,
-        )
-    )
+    prime_ok = primes.is_odd_prime(p) and p % (n + 1) == 1
+    out.append(_check("prime", prime_ok, "p={} is not an odd prime congruent to 1 mod {}", p, n + 1))
 
     fresh_table = _rederive_atilde(n)
     stored_table = {
@@ -266,55 +262,61 @@ def _verify_construction(cert: dict, digest_ok: bool, out: list[CheckResult]) ->
     convention = cert["lift_convention"]
     windows = {"nonneg": 0, "symmetric": -(q // 2)}
     held = [name for name, low in windows.items() if all(low <= a < low + q for a in lifts)]
+    # prime_ok makes (Z/p^n)* cyclic with n+1 | p-1, so its roots of x^(n+1) = 1
+    # are its one subgroup of order n+1: n+1 distinct reduced roots are all of
+    # them, and so are closed under multiplication with no product taken.
     roots_ok = (
-        convention in held
-        and len(lifts) == len(residues) == n + 1
-        and len(set(residues)) == n + 1
-        and all(pow(alpha, n + 1, q) == 1 for alpha in residues)
-        and all(x * y % q in set(residues) for x in residues for y in residues)
+        prime_ok
+        and convention in held
+        and len(lifts) == len(residues) == len(set(residues)) == n + 1
+        and all(0 <= alpha < q and pow(alpha, n + 1, q) == 1 for alpha in residues)
         and all(a % q == alpha % q for a, alpha in zip(lifts, residues))
         and all(a % p for a in lifts)
     )
     out.append(_check("roots", roots_ok, "root family fails its identities or its lift range"))
 
-    sigma = elementary_symmetric(lifts)[:n]
-    out.append(
-        _check(
-            "sigma_divisibility",
-            list(s) == sigma and all(v % q == 0 for v in sigma),
-            "symmetric functions {} (stored {}) not all divisible by p^n={}",
-            sigma, s, q,
-        )
-    )
-
-    product = OmegaSeries.one(n)
-    for a in lifts:
-        product = product * OmegaSeries.from_dict(n, {0: 1, 1: a * M * p})
-    inv = product.inverse()
-    b_ok = all(inv.coefficient(j) == b[j - 1] for j in range(1, n + 1)) and all(
-        b[j - 1] % (M * p ** (2 * j)) == 0 for j in range(1, n + 1)
-    )
-    out.append(
-        _check("b_series", b_ok, "stored b does not match the inverse series or its divisibility")
-    )
-
-    total = product
-    for i in range(1, n + 1):
-        entries = {0: Fraction(1)}
-        for j in range(1, n // i + 1):
-            entries[j * i] = (
-                Fraction(delta[i - 1]) ** j * Fraction(p) ** (2 * j * i) * fresh_table[(i, j)]
+    lengths = [len(lifts), len(residues), len(s), len(b), len(delta)]
+    if lengths != [n + 1, n + 1, n, n, n]:
+        detail = f"lifts, residues, s, b, delta have lengths {lengths}; n={n} fixes [n+1, n+1, n, n, n]"
+        out.extend(CheckResult(name, False, detail) for name in ("sigma_divisibility", "b_series", "chern_product"))
+    else:
+        sigma = elementary_symmetric(lifts)[:n]
+        out.append(
+            _check(
+                "sigma_divisibility",
+                list(s) == sigma and all(v % q == 0 for v in sigma),
+                "symmetric functions {} (stored {}) not all divisible by p^n={}",
+                sigma, s, q,
             )
-        total = total * OmegaSeries.from_dict(n, entries)
-    stored_product = decode_series(cert["chern_product"])
-    out.append(
-        _check(
-            "chern_product",
-            total.is_one() and stored_product == OmegaSeries.one(n),
-            "rebuilt Chern product has omega-coefficients {}, stored {} at n={}",
-            total.coeffs, stored_product.coeffs, stored_product.n,
         )
-    )
+
+        product = OmegaSeries.one(n)
+        for a in lifts:
+            product = product * OmegaSeries.from_dict(n, {0: 1, 1: a * M * p})
+        inv = product.inverse()
+        b_ok = all(inv.coefficient(j) == b[j - 1] for j in range(1, n + 1)) and all(
+            b[j - 1] % (M * p ** (2 * j)) == 0 for j in range(1, n + 1)
+        )
+        out.append(_check("b_series", b_ok, "stored b does not match the inverse series or its divisibility"))
+
+        # With atilde_{k,j} = atilde_{k,1}^j / j!, c(G_k(delta)) = exp(delta p^(2k) atilde_{k,1} omega^k), and
+        # log prod_j (1 + a_j M p omega) = -sum_k (-M p)^k P_k omega^k / k with P_k = sum_j a_j^k, so the
+        # product of all classes is 1 exactly when k delta_k p^(2k) atilde_{k,1} = (-M p)^k P_k at each k.
+        exponential = all(entry == fresh_table[(k, 1)] ** j / factorial(j) for (k, j), entry in fresh_table.items())
+        unbalanced = [
+            k for k in range(1, n + 1)
+            if k * delta[k - 1] * p ** (2 * k) * fresh_table[(k, 1)]
+            != (-fresh_m * p) ** k * sum(a**k for a in lifts)
+        ]
+        stored_product = decode_series(cert["chern_product"])
+        out.append(
+            _check(
+                "chern_product",
+                exponential and not unbalanced and stored_product == OmegaSeries.one(n),
+                "log identity fails at k in {}, table exponential: {}; stored product {} at n={}",
+                unbalanced, exponential, stored_product.coeffs, stored_product.n,
+            )
+        )
 
     rank = decode_int(cert["rank"])
     tau = decode_int(cert["tau"])

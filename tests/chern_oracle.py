@@ -1,8 +1,10 @@
 """Test-only oracles for the Chern cancellation, by series products.
 
-The library solves for the deltas in closed form through the logarithm
-and never multiplies the classes out.  This module keeps the routes the
-tests compare it with: the multiply-out of the line classes
+The library never multiplies the classes out.  certify solves for the
+deltas in closed form through the logarithm, and verify checks the
+exponential shape of its own table and, at each k, the logarithm identity
+k delta_k p^(2k) atilde_{k,1} = (-M p)^k P_k.  This module keeps the only
+multiply-out any check compares them with: the line classes
 1 + a_j M p omega and the classes c(G_k(delta_k)), each built from its
 definition; and the forward pass that solves for the deltas one at a
 time, clearing omega^i at step i.

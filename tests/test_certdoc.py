@@ -6,13 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+import chern_oracle
 from pgroupcert import certdoc
 from pgroupcert.cli import main
 from pgroupcert.products import olshanskii_search, product_subgroup_bound
 from pgroupcert.series import OmegaSeries
 from pgroupcert.solver import certify
 from pgroupcert.symplectic import DEFAULT_SUBSPACE_BUDGET
-from pgroupcert.verify import decode_series
+from pgroupcert.verify import decode_series, verify_document
 
 
 def test_int_encoding_small_and_big():
@@ -185,15 +186,34 @@ GOLDEN_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("n,r,p,lift", sorted(GOLDEN_DIGESTS))
-def test_golden_construction_digests(n, r, p, lift):
-    doc = certdoc.build_document(
+def _golden_construction_doc(n, r, p, lift):
+    return certdoc.build_document(
         kind="construction",
         command="certify",
         params={"n": n, "r": r, "p": p, "lifts": lift},
         certificate=certdoc.construction_payload(certify(n, r, p, lift=lift)),
     )
+
+
+@pytest.mark.parametrize("n,r,p,lift", sorted(GOLDEN_DIGESTS))
+def test_golden_construction_digests(n, r, p, lift):
+    doc = _golden_construction_doc(n, r, p, lift)
     assert doc["digest"] == GOLDEN_DIGESTS[(n, r, p, lift)]
+
+
+@pytest.mark.parametrize("n,r,p,lift", sorted(GOLDEN_DIGESTS))
+def test_golden_construction_documents_verify_and_multiply_out_to_one(n, r, p, lift):
+    # verify decides chern_product by the logarithm; the oracle multiplies every class out.
+    doc = certdoc.parse_document(certdoc.serialize_document(_golden_construction_doc(n, r, p, lift)))
+    report = verify_document(doc)
+    assert report.ok, report.failures()
+    cert = doc["certificate"]
+    atilde = {(e["k"], e["j"]): certdoc.decode_fraction(e["value"]) for e in cert["atilde"]}
+    product = chern_oracle.chern_product(
+        n, p, certdoc.decode_int(cert["M"]), certdoc.decode_int_list(cert["a"]),
+        certdoc.decode_int_list(cert["delta"]), atilde,
+    )
+    assert product.is_one()
 
 
 # Full digests of olshanskii documents as the CLI builds them (default budget

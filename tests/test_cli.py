@@ -280,6 +280,19 @@ def test_verify_reports_a_lambda_table_with_a_zero_r_row(runner, tmp_path):
     assert "FAIL lambda_table:params" in result.output
 
 
+def test_verify_reports_a_zero_denominator_as_a_parse_error(runner, tmp_path):
+    out = tmp_path / "table.json"
+    assert runner.invoke(main, ["lambda-table", "--max-n", "2", "--max-r", "2", "--out", str(out)]).exit_code == 0
+    doc = json.loads(out.read_text())
+    doc["certificate"]["rows"][0]["bound"]["den"] = "0"
+    doc["digest"] = certdoc.compute_digest(certdoc.document_digestable(doc))
+    out.write_text(json.dumps(doc))
+    # It used to raise ZeroDivisionError out of the verifier; the runner lets it propagate.
+    result = runner.invoke(main, ["verify", str(out)])
+    assert result.exit_code == 2
+    assert "cannot parse" in result.output
+
+
 def test_lambda_table_over_the_row_limit_is_a_usage_error(runner, monkeypatch):
     # 300 x 300 used to take seconds and hundreds of MB before writing a byte.
     monkeypatch.setattr(solver, "lambda_row", lambda n, r: pytest.fail("a row was built"))

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+import chern_oracle
 from pgroupcert import certdoc, primes, products, symplectic, verify
-from pgroupcert.exterior import MAX_SYMMETRIZATION_N
+from pgroupcert.exterior import MAX_SYMMETRIZATION_N, atilde_table
 from pgroupcert.groups import (
     BRUTE_WORK_BUDGET,
     MAX_GROUP_N,
@@ -197,13 +198,73 @@ def test_residue_mutation_fails_roots():
 
 def test_a_residue_stored_unreduced_fails_roots():
     # The same residue mod q = 49, stored as itself plus q: it is still a distinct
-    # root of x^3 = 1 mod q that its lift reduces to, so only closure under
-    # multiplication, whose products are reduced, tells it apart.
+    # root of x^3 = 1 mod q that its lift reduces to, so only the requirement
+    # that a stored residue be reduced, 0 <= alpha < q, tells it apart.
     doc = construction_doc(2, 1, 7)
     bad = fix_digest(mutate(doc, ["residues", 1], 49))
     report = verify_document(bad)
     assert report.results[0].passed
     assert [result.name for result in report.failures()] == ["roots"]
+
+
+def test_roots_of_unity_modulo_a_composite_fail_roots_as_well_as_prime():
+    # 4 and 11 both square to 1 mod 15, but 4 * 11 = 14 does not: the cyclicity
+    # argument that stands in for a closure check needs p to be a prime.
+    doc = json.loads(json.dumps(construction_doc(1, 1, 3)))
+    doc["certificate"].update(p=15, residues=[4, 11], a=[4, 11])
+    report = verify_document(fix_digest(doc))
+    assert report.results[0].passed
+    failed = [result.name for result in report.failures()]
+    assert "prime" in failed and "roots" in failed
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["plus-one", "minus-one"])
+@pytest.mark.parametrize("n,k", [(n, k) for n in (4, 6) for k in range(1, n + 1)])
+def test_a_bumped_delta_fails_chern_product_alone(n, k, sign):
+    # The verifier decides chern_product by the logarithm identity at each k;
+    # the multiply-out oracle must see every such document as not one as well.
+    p = find_prime(n)
+    doc = fix_digest(mutate(construction_doc(n, 1, p), ["delta", k - 1], sign))
+    cert = doc["certificate"]
+    lifts, delta = certdoc.decode_int_list(cert["a"]), certdoc.decode_int_list(cert["delta"])
+    assert not chern_oracle.chern_product(n, p, compute_M(n), lifts, delta, atilde_table(n)).is_one()
+    report = verify_document(doc)
+    assert report.results[0].passed
+    assert [result.name for result in report.failures()] == ["chern_product"]
+
+
+@pytest.mark.parametrize("edit", ["drop", "pad"])
+@pytest.mark.parametrize("field", ["a", "residues", "s", "b", "delta"])
+def test_a_list_whose_length_n_does_not_fix_fails_the_series_checks(field, edit):
+    # A short b or delta used to raise IndexError out of verify, and a padded one
+    # verified: only the first n entries were read.
+    doc = json.loads(json.dumps(construction_doc(2, 1, 7)))
+    values = doc["certificate"][field]
+    if edit == "drop":
+        values.pop()
+    else:
+        values.append(0)
+    report = verify_document(fix_digest(doc))
+    assert report.results[0].passed
+    failed = {result.name: result.detail for result in report.failures()}
+    for name in ("sigma_divisibility", "b_series", "chern_product"):
+        assert "have lengths" in failed[name]
+
+
+def test_a_construction_with_a_thousand_lifts_is_rejected_at_once():
+    # n = 2 fixes three lifts; the symmetric functions of these 1000 took about 100 s.
+    doc = json.loads(json.dumps(construction_doc(2, 1, 7)))
+    rng = random.Random(1)
+    doc["certificate"]["a"] = certdoc.encode_int_list(rng.getrandbits(560) for _ in range(1000))
+    doc = fix_digest(doc)
+    start = time.perf_counter()
+    report = verify_document(doc)
+    assert time.perf_counter() - start < 1.0
+    assert report.results[0].passed
+    failed = {result.name: result.detail for result in report.failures()}
+    assert "roots" in failed
+    for name in ("sigma_divisibility", "b_series", "chern_product"):
+        assert "[1000, 3, 2, 2, 2]" in failed[name]
 
 
 def test_stored_chern_product_must_be_the_unit_series_at_n():
@@ -285,8 +346,47 @@ def test_recorded_checks_must_name_exactly_the_established_identities(edit):
     assert [result.name for result in report.failures()] == ["recorded_checks"]
 
 
+@pytest.mark.parametrize(
+    "make_doc,path",
+    [
+        (lambda: construction_doc(2, 1, 7), ["atilde", 0, "value"]),
+        (lambda: construction_doc(2, 1, 7), ["chern_product", "coeffs", 0]),
+        (lambda: group_doc(1, 3, mode="structural"), ["lambda"]),
+        (lambda: lambda_table_doc(3, 2), ["rows", 0, "bound"]),
+    ],
+    ids=["atilde-value", "chern_product-coeff", "group-lambda", "lambda_table-bound"],
+)
+def test_a_zero_denominator_is_a_parse_error(make_doc, path):
+    # Fraction(num, 0) used to raise ZeroDivisionError out of verify_document.
+    doc = json.loads(json.dumps(make_doc()))
+    node = doc["certificate"]
+    for step in path:
+        node = node[step]
+    node["den"] = "0"
+    with pytest.raises(certdoc.ParseError, match="nonzero den"):
+        verify_document(fix_digest(doc))
+
+
+def test_chern_product_needs_the_exponential_shape_of_the_verifiers_table(monkeypatch):
+    # The logarithm identity reads only atilde_{k,1}; the other entries enter
+    # through the shape atilde_{k,j} = atilde_{k,1}^j / j!, which must be checked.
+    real_table, real_chain = verify._rederive_atilde, verify.m_chain
+
+    def bent_table(n):
+        table = real_table(n)
+        table[(1, 2)] *= 2
+        return table
+
+    monkeypatch.setattr(verify, "_rederive_atilde", bent_table)
+    monkeypatch.setattr(verify, "m_chain", lambda n, table: real_chain(n, real_table(n)))
+    report = verify_document(construction_doc(2, 1, 7))
+    failed = {result.name: result.detail for result in report.failures()}
+    assert list(failed) == ["atilde_table", "chern_product"]
+    assert "table exponential: False" in failed["chern_product"]
+
+
 def test_atilde_mutation_fails_the_table_check():
-    # The verifier rebuilds M and the Chern product from its own table, so
+    # The verifier derives M and decides the Chern product from its own table, so
     # the stored table is caught by atilde_table alone.
     doc = json.loads(json.dumps(construction_doc(2, 1, 7)))
     entry = doc["certificate"]["atilde"][1]
