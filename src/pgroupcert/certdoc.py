@@ -3,11 +3,11 @@
 Exactness is the product, so nothing is ever a float: integers beyond
 2**53 are encoded as decimal strings (to survive lossy JSON consumers),
 or as "0x..." hex strings past MAX_INT_DIGITS decimal digits, and
-rationals are always {"num": ..., "den": ...} string pairs.  Keys
-are sorted everywhere, so serialized documents are diffable, and the
-sha256 digest of the canonical serialization binds the document content:
-the verifier rejects any mutation, including ones that would happen to
-form a differently-valid witness.
+rationals are always {"num": ..., "den": ...} string pairs.  A
+document is written in its canonical form (sorted keys, no whitespace,
+ASCII, one line), and the sha256 digest of the canonical form of its body
+binds the document content: the verifier rejects any mutation, including
+ones that would happen to form a differently-valid witness.
 
 This layer imports only the standard library: the producer's types are
 named for type checking alone, so the verifier and each CLI process load
@@ -75,6 +75,11 @@ CITED_ASSUMPTIONS = (
 
 class ParseError(ValueError):
     """The document is not valid JSON of the expected schema."""
+
+
+#: The ParseError message for a document whose nesting exhausts the interpreter's
+#: recursion limit, in the JSON decoder or in a later encoder or check.
+NESTED_TOO_DEEPLY = "nested too deeply to decode or encode"
 
 
 # -- exact scalar encoding ---------------------------------------------------
@@ -206,7 +211,7 @@ def document_digestable(doc: dict[str, Any]) -> dict[str, Any]:
 
 
 def serialize_document(doc: dict[str, Any]) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    return canonical_json(doc) + "\n"
 
 
 def parse_document(text: str) -> dict[str, Any]:
@@ -214,6 +219,8 @@ def parse_document(text: str) -> dict[str, Any]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(NESTED_TOO_DEEPLY) from exc
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:

@@ -3,8 +3,10 @@
 Built on the standard library's argparse, so a fresh process pays for the
 interpreter and the library only.  Exit codes are a stable contract: 0 on
 success, 1 when a verification or certification check fails, 2 on usage or
-parse errors, which include a missing or unreadable ``verify`` path and the
-library's PreconditionError, ParseError and BudgetExceeded.
+parse errors, which include an ``--out`` path that cannot be written, a
+missing or unreadable ``verify`` path, one that is not UTF-8 or is nested
+too deeply, and the library's PreconditionError, ParseError and
+BudgetExceeded.
 
 ``main(args)`` returns the exit status, for ``sys.exit(main())``;
 ``main.main(args=..., prog_name=...)`` raises SystemExit with it instead.
@@ -44,9 +46,12 @@ class UsageError(Exception):
 def _write_output(text: str, out: str) -> None:
     if out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc}") from exc
 
 
 def certify(args: argparse.Namespace) -> int:
@@ -175,7 +180,7 @@ def verify(args: argparse.Namespace) -> int:
         with open(path, "r", encoding="utf-8") as handle:
             doc = certdoc.parse_document(handle.read())
         report = verify_document(doc, budget=args.budget)
-    except (OSError, certdoc.ParseError) as exc:
+    except (OSError, UnicodeDecodeError, certdoc.ParseError) as exc:
         raise UsageError(f"cannot parse {path}: {exc}") from exc
     for result in report.results:
         status = "ok  " if result.passed else "FAIL"

@@ -53,6 +53,7 @@ from .certdoc import (
     CONSTRUCTION_CHECKS,
     DECIMAL_LIMIT,
     MAX_LAMBDA_TABLE_ROWS,
+    NESTED_TOO_DEEPLY,
     ParseError,
     compute_digest,
     decode_bool,
@@ -143,20 +144,15 @@ def verify_document(
     kind = doc.get("kind")
     results: list[CheckResult] = []
 
-    stored_digest = doc.get("digest")
-    expected_digest = compute_digest(document_digestable(doc))
-    digest_ok = stored_digest == expected_digest
-    results.append(
-        CheckResult(
-            "document_digest",
-            digest_ok,
-            "" if digest_ok else "content does not match its digest",
-        )
-    )
-
     # Each kind's checker appends to results as it goes, so a check that
     # raises on a malformed field still leaves the ones computed before it.
+    # A document that parsed just under the recursion limit can exhaust it
+    # here, a few frames deeper, in the digest's encoder or in a check.
     try:
+        digest_ok = doc.get("digest") == compute_digest(document_digestable(doc))
+        results.append(
+            CheckResult("document_digest", digest_ok, "" if digest_ok else "content does not match its digest")
+        )
         if kind == "construction":
             _verify_construction(doc["certificate"], digest_ok, results)
         elif kind == "group":
@@ -171,6 +167,8 @@ def verify_document(
             results.append(CheckResult("kind", False, f"unknown document kind {kind!r}"))
     except ParseError:
         raise
+    except RecursionError as exc:
+        raise ParseError(NESTED_TOO_DEEPLY) from exc
     except (KeyError, TypeError, ValueError) as exc:
         results.append(CheckResult("well_formed", False, f"malformed certificate: {exc}"))
     return VerificationReport(kind=str(kind), results=results)

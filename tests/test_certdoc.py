@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import chern_oracle
+from cli_documents import KIND_COMMANDS, document_text
 from pgroupcert import certdoc
 from pgroupcert.cli import main
 from pgroupcert.products import olshanskii_search, product_subgroup_bound
@@ -143,15 +144,46 @@ def test_sorted_keys_in_serialization():
         {"n": 1},
         {"n": 1, "prime": 3, "M": 1, "h": 1, "min": 1, "ceiling": 10},
     )
+    key_orders = []
+
+    def record(pairs):
+        key_orders.append([key for key, _ in pairs])
+        return dict(pairs)
+
+    json.loads(certdoc.serialize_document(doc), object_pairs_hook=record)
+    # The certificate, the command, its params and the document itself.
+    assert len(key_orders) == 4
+    assert key_orders[-1] == ["certificate", "command", "digest", "generated_at", "kind", "schema_version", "seed"]
+    for keys in key_orders:
+        assert keys and keys == sorted(keys)
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_COMMANDS))
+def test_a_document_is_written_in_its_canonical_form(kind):
+    doc = json.loads(document_text(kind))
     text = certdoc.serialize_document(doc)
-    lines = [line.strip() for line in text.splitlines() if line.strip().startswith('"')]
-    keys = [line.split('"')[1] for line in lines]
-    top_level = [
-        k
-        for k in keys
-        if k in ("certificate", "command", "digest", "generated_at", "kind", "schema_version", "seed")
-    ]
-    assert top_level == sorted(top_level)
+    assert text == certdoc.canonical_json(doc) + "\n"
+    assert text == document_text(kind)
+    parsed = certdoc.parse_document(text)
+    assert parsed == doc
+    assert verify_document(parsed).results[0] == ("document_digest", True, "")
+
+
+@pytest.mark.parametrize("depth", [1000, 2000, 100_000])
+def test_a_document_nested_past_the_recursion_limit_is_a_parse_error(depth):
+    with pytest.raises(certdoc.ParseError, match="nested too deeply"):
+        certdoc.parse_document("[" * depth + "]" * depth)
+
+
+def test_a_document_too_deep_to_encode_is_a_parse_error():
+    # One that parsed just under the decoder's limit can exhaust it in the digest's encoder.
+    deep = []
+    for _ in range(5000):
+        deep = [deep]
+    doc = json.loads(document_text("prime"))
+    doc["certificate"]["n"] = deep
+    with pytest.raises(certdoc.ParseError, match="nested too deeply"):
+        verify_document(doc)
 
 
 def test_generated_at_is_a_utc_timestamp_in_seconds():

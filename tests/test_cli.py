@@ -437,3 +437,51 @@ def test_verify_of_checks_that_are_not_an_object_fails_in_a_fresh_process(runner
     assert result.returncode == 1, result.stderr
     assert "Traceback" not in result.stderr
     assert "FAIL construction:well_formed  (malformed certificate: checks must be an object" in result.stdout
+
+
+def _assert_one_line_usage_error(result, message):
+    """Exit 2 with ``message`` ending the error line; the runner lets any exception propagate."""
+    assert result.exit_code == 2, result.output
+    assert result.output.splitlines()[-1].endswith(message), result.output
+
+
+@pytest.mark.parametrize(
+    "content, reason",
+    [(b"\xff\xfe", "invalid start byte"), (b'{"kind": "\xe9"}', "invalid continuation byte")],
+    ids=["bom", "latin-1"],
+)
+def test_verify_of_a_file_that_is_not_utf8_is_a_parse_error(runner, tmp_path, content, reason):
+    # The file's bytes are decoded before parse_document sees them, so UnicodeDecodeError is the command's to map.
+    path = tmp_path / "bytes.json"
+    path.write_bytes(content)
+    result = runner.invoke(main, ["verify", str(path)])
+    _assert_one_line_usage_error(result, reason)
+    assert f"cannot parse {path}: 'utf-8' codec can't decode" in result.output
+
+
+@pytest.mark.parametrize("depth", [990, 2000, 100_000])
+def test_verify_of_a_deeply_nested_file_is_a_parse_error(runner, tmp_path, depth):
+    # json.loads raises RecursionError, not JSONDecodeError, past the interpreter's recursion limit.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * depth + "]" * depth + "\n")
+    result = runner.invoke(main, ["verify", str(path)])
+    _assert_one_line_usage_error(result, f"cannot parse {path}: nested too deeply to decode or encode")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "certify --n 1 --p 3",
+        "group --n 1 --p 3",
+        "olshanskii --n 2 --r 2 --p 3 --seed 1",
+        "lambda-table --max-n 2 --max-r 2",
+        "lambda-table --max-n 2 --max-r 2 --format csv",
+        "find-prime --n 2",
+    ],
+)
+def test_an_out_path_that_cannot_be_written_is_a_usage_error(runner, tmp_path, command):
+    # Each producer writes through _write_output, after its work is done.
+    out = tmp_path / "missing" / "doc.json"
+    result = runner.invoke(main, [*command.split(), "--out", str(out)])
+    _assert_one_line_usage_error(result, f"cannot write {out}: [Errno 2] No such file or directory: '{out}'")
+    assert not out.parent.exists()
