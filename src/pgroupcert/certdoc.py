@@ -280,7 +280,6 @@ def group_report_payload(
     max_abelian_order: int,
     max_abelian_exponent: int,
     lam: Fraction,
-    budget: int,
     modes_agree: bool | None,
 ) -> dict[str, Any]:
     payload = {
@@ -292,7 +291,6 @@ def group_report_payload(
         "max_abelian_order": encode_int(max_abelian_order),
         "max_abelian_exponent": max_abelian_exponent,
         "lambda": encode_fraction(lam),
-        "budget": budget,
     }
     if modes_agree is not None:
         payload["modes_agree"] = modes_agree
@@ -358,12 +356,11 @@ def lambda_table_payload(
     return payload
 
 
-def prime_payload(n: int, h: int, min_p: int, ceiling: int, prime: int, M: int) -> dict[str, Any]:
+def prime_payload(n: int, h: int, min_p: int, prime: int, M: int) -> dict[str, Any]:
     return {
         "n": n,
         "h": encode_int(h),
         "min": encode_int(min_p),
-        "ceiling": encode_int(ceiling),
         "M": encode_int(M),
         "prime": encode_int(prime),
     }

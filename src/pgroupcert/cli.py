@@ -21,7 +21,6 @@ from typing import NoReturn
 
 from . import certdoc, primes, solver
 from .groups import (
-    DEFAULT_BRUTE_BUDGET,
     MAX_GROUP_N,
     brute_force_lambda,
     epsilon_witness,
@@ -78,14 +77,14 @@ def certify(args: argparse.Namespace) -> int:
 
 def group(args: argparse.Namespace) -> int:
     """Report the order, maximal abelian order, and abelian fraction of one Heisenberg group."""
-    n, p, mode, budget = args.n, args.p, args.mode, args.budget
+    n, p, mode = args.n, args.p, args.mode
     if not 1 <= n <= MAX_GROUP_N or not primes.is_odd_prime(p):
         raise UsageError(f"need 1 <= n <= {MAX_GROUP_N} and an odd prime p")
     order = group_order(n, p)
     try:
         structural = max_abelian_exponent(n, p)
         if mode == "brute":
-            max_order, lam = brute_force_lambda(n, p, budget=budget)
+            max_order, lam = brute_force_lambda(n, p)
             exponent = int(lam * (2 * n + 1))
             modes_agree = exponent == structural
         else:
@@ -95,13 +94,12 @@ def group(args: argparse.Namespace) -> int:
             modes_agree = None
     except BudgetExceeded as exc:
         raise UsageError(str(exc)) from exc
+    certificate = certdoc.group_report_payload(n, p, mode, order, max_order, exponent, lam, modes_agree)
     doc = certdoc.build_document(
         kind="group",
         command="group",
-        params={"n": n, "p": p, "mode": mode, "budget": budget},
-        certificate=certdoc.group_report_payload(
-            n, p, mode, order, max_order, exponent, lam, budget, modes_agree
-        ),
+        params={key: certificate[key] for key in ("n", "p", "mode")},
+        certificate=certificate,
     )
     _write_output(certdoc.serialize_document(doc), args.out)
     return 1 if modes_agree is False else 0
@@ -158,16 +156,17 @@ def lambda_table(args: argparse.Namespace) -> int:
 
 def find_prime(args: argparse.Namespace) -> int:
     """Least prime p >= max(min, M(n)+1, 3) with p = 1 mod (n+1) not dividing h."""
-    n, h, min_p, ceiling = args.n, args.h, args.min_p, args.ceiling
+    n, h, min_p = args.n, args.h, args.min_p
     try:
-        p = solver.find_prime(n, h=h, min_p=min_p, ceiling=ceiling)
+        p = solver.find_prime(n, h=h, min_p=min_p)
     except (solver.PreconditionError, solver.SearchExhausted) as exc:
         raise UsageError(str(exc)) from exc
+    certificate = certdoc.prime_payload(n, h, min_p, p, solver.compute_M(n))
     doc = certdoc.build_document(
         kind="prime",
         command="find-prime",
-        params={"n": n, "h": h, "min": min_p, "ceiling": ceiling},
-        certificate=certdoc.prime_payload(n, h, min_p, ceiling, p, solver.compute_M(n)),
+        params={key: certificate[key] for key in ("n", "h", "min")},
+        certificate=certificate,
     )
     _write_output(certdoc.serialize_document(doc), args.out)
     return 0
@@ -217,9 +216,6 @@ def _parser(prog: str) -> argparse.ArgumentParser:
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--p", type=int, required=True, help="Odd prime.")
     sub.add_argument("--mode", choices=["structural", "brute"], default="structural", help="(default: %(default)s)")
-    sub.add_argument(
-        "--budget", type=int, default=DEFAULT_BRUTE_BUDGET, help="Max group order for brute mode (default: %(default)s)."
-    )
     out_option(sub)
 
     sub = command("olshanskii", olshanskii)
@@ -242,7 +238,6 @@ def _parser(prog: str) -> argparse.ArgumentParser:
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--h", type=int, default=1, help="The prime must not divide h (default: %(default)s).")
     sub.add_argument("--min", dest="min_p", type=int, default=1, help="(default: %(default)s)")
-    sub.add_argument("--ceiling", type=int, default=solver.DEFAULT_PRIME_CEILING, help="(default: %(default)s)")
     out_option(sub)
 
     sub = command("verify", verify)

@@ -37,11 +37,10 @@ from .symplectic import (
     enumerate_isotropic,
 )
 
-DEFAULT_BRUTE_BUDGET = 10_000
-
-#: The brute oracle's ceiling on group-law calls.  max_abelian_order fills an
-#: m x m product table, so m^2 is its work: this admits (n, p) = (1, 3), (1, 5),
-#: (1, 7) and (2, 3), and refuses (1, 11) and larger before any product is taken.
+#: The brute oracle's ceiling on group-law calls, which its producer and its
+#: verifier share.  max_abelian_order fills an m x m product table, so m^2 is
+#: its work: this admits (n, p) = (1, 3), (1, 5), (1, 7) and (2, 3), and
+#: refuses (1, 11) and larger before any element is listed.
 BRUTE_WORK_BUDGET = 200_000
 
 #: Largest n for which group reports are produced and re-checked; the
@@ -117,13 +116,6 @@ def epsilon_witness(rows: list[LambdaRow], epsilon: Fraction) -> LambdaRow | Non
     return None
 
 
-def _all_coords(n: int, p: int, budget: int) -> list[Coords]:
-    order = group_order(n, p)
-    if order > budget:
-        raise BudgetExceeded(order, budget, what="group elements")
-    return list(itertools.product(range(p), repeat=2 * n + 1))
-
-
 def max_abelian_order(elements: Sequence, mul: Callable) -> int:
     """Largest abelian subgroup order of a finite group, via centralizer intersections.
 
@@ -174,20 +166,18 @@ def max_abelian_order(elements: Sequence, mul: Callable) -> int:
     return best
 
 
-def brute_force_lambda(
-    n: int, p: int, budget: int = DEFAULT_BRUTE_BUDGET
-) -> tuple[int, Fraction]:
+def brute_force_lambda(n: int, p: int) -> tuple[int, Fraction]:
     """Exact maximal abelian subgroup order and log|A|/log|Gamma| by exhaustion.
 
     Independent of the symplectic correspondence: only group
     multiplication is used, applied to coordinate tuples.  Refused with
-    BudgetExceeded when the group has more than ``budget`` elements or its
-    m^2 product table more than BRUTE_WORK_BUDGET entries.
+    BudgetExceeded, before any element is listed, when the m^2 product
+    table would have more than BRUTE_WORK_BUDGET entries.
     """
-    coords = _all_coords(n, p, budget)
-    calls = len(coords) ** 2
+    calls = group_order(n, p) ** 2
     if calls > BRUTE_WORK_BUDGET:
         raise BudgetExceeded(calls, BRUTE_WORK_BUDGET, what="group-law calls")
+    coords = list(itertools.product(range(p), repeat=2 * n + 1))
     best = max_abelian_order(coords, partial(group_law, p))
     exponent = 0
     order = best

@@ -6,6 +6,10 @@ from __future__ import annotations
 #: below prove primality for all such n via the strong-pseudoprime test.
 DETERMINISTIC_LIMIT = 3317044064679887385961981
 
+#: Most members of the progression 1 mod (n+1) that the prime search examines,
+#: and so the most that the verifier's minimality walk below a stored prime may.
+MAX_PRIME_CANDIDATES = 10_000
+
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -38,8 +38,6 @@ from .exterior import MAX_SYMMETRIZATION_N, atilde_table, construction_notes, m_
 from .groups import LambdaRow, lambda_row, max_abelian_exponent
 from .series import OmegaSeries, elementary_symmetric
 
-DEFAULT_PRIME_CEILING = 10**6
-
 
 class PreconditionError(ValueError):
     """A caller-supplied parameter violates the construction's hypotheses."""
@@ -54,7 +52,7 @@ class DivisibilityError(CertificationError):
 
 
 class SearchExhausted(RuntimeError):
-    """The prime search hit its ceiling without a hit."""
+    """The prime search examined primes.MAX_PRIME_CANDIDATES candidates without a hit."""
 
 
 def _is_prime(p: int) -> bool:
@@ -338,26 +336,24 @@ def certify(n: int, r: int, p: int, lift: str = "nonneg") -> ConstructionCertifi
 # -- prime search and the bound table ---------------------------------------
 
 
-def find_prime(
-    n: int, h: int = 1, min_p: int = 1, ceiling: int = DEFAULT_PRIME_CEILING
-) -> int:
+def find_prime(n: int, h: int = 1, min_p: int = 1) -> int:
     """Least prime p >= max(min_p, M(n)+1, 3) with p = 1 mod (n+1) and p not dividing h.
 
     Such primes exist in abundance (primes in the arithmetic progression
-    1 mod n+1 avoiding finitely many divisors of h); the ceiling only
-    guards against runaway loops and raises SearchExhausted when hit.
+    1 mod n+1 avoiding finitely many divisors of h).  The search examines
+    the first primes.MAX_PRIME_CANDIDATES members of that progression from
+    the start, and raises SearchExhausted when none qualifies.
     """
     M = compute_M(n)
     start = max(min_p, M + 1, 3)
     modulus = n + 1
-    candidate = start + (-(start - 1)) % modulus  # least value >= start congruent to 1
-    while candidate <= ceiling:
+    first = start + (-(start - 1)) % modulus  # least value >= start congruent to 1
+    for candidate in range(first, first + modulus * primes.MAX_PRIME_CANDIDATES, modulus):
         if candidate % 2 and _is_prime(candidate) and h % candidate != 0:
             return candidate
-        candidate += modulus
     raise SearchExhausted(
-        f"no prime p = 1 mod {modulus} with p > {max(min_p - 1, M)} and p coprime to "
-        f"{h} below the ceiling {ceiling}"
+        f"no prime p = 1 mod {modulus} with p > {max(min_p - 1, M)} and p not dividing h "
+        f"among the first {primes.MAX_PRIME_CANDIDATES} candidates"
     )
 
 

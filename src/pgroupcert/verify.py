@@ -37,8 +37,9 @@ bounded before any arithmetic depends on them (a construction's p too, by
 is_prime's deterministic range), a failure detail shows an
 integer past 4300 digits by its bit length, a stored power of p is
 compared by bit length before the power is computed, and the brute-force
-group oracle runs under the verifier's own budget, never the one a report
-claims, and is refused when its m^2 product table would be too large.
+group oracle and the walk below a stored prime stop at the bounds their
+producers share.  A group or prime document's command must be the one its
+certificate's fields give, with no seed, so every field of it is checked.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .certdoc import (
     MAX_LAMBDA_TABLE_ROWS,
     NESTED_TOO_DEEPLY,
     ParseError,
+    canonical_json,
     compute_digest,
     decode_bool,
     decode_fraction,
@@ -70,7 +72,6 @@ from .exterior import (
     symmetrization_coefficients,
 )
 from .groups import (
-    DEFAULT_BRUTE_BUDGET,
     MAX_GROUP_N,
     brute_force_lambda,
     epsilon_witness,
@@ -157,12 +158,14 @@ def verify_document(
             _verify_construction(doc["certificate"], digest_ok, results)
         elif kind == "group":
             _verify_group(doc["certificate"], digest_ok, results)
+            results.append(_verify_command(doc, "group", ("n", "p", "mode")))
         elif kind == "olshanskii":
             _verify_olshanskii(doc["certificate"], digest_ok, budget, results)
         elif kind == "lambda_table":
             _verify_lambda_table(doc["certificate"], results)
         elif kind == "prime":
             _verify_prime(doc["certificate"], results)
+            results.append(_verify_command(doc, "find-prime", ("n", "h", "min")))
         else:
             results.append(CheckResult("kind", False, f"unknown document kind {kind!r}"))
     except ParseError:
@@ -200,6 +203,13 @@ def _check(name: str, condition: bool, template: str, *values: Any) -> CheckResu
 
 def _skipped(name: str) -> CheckResult:
     return CheckResult(name, False, "not run: document already failed integrity")
+
+
+def _verify_command(doc: dict, name: str, keys: tuple[str, ...]) -> CheckResult:
+    """The command is ``name`` with the certificate's ``keys`` as params, compared in canonical JSON (1 is not true)."""
+    expected = {"name": name, "params": {key: doc["certificate"][key] for key in keys}}
+    ok = "seed" in doc and doc["seed"] is None and canonical_json(doc["command"]) == canonical_json(expected)
+    return _check("command", ok, "command must be {} with params {} from the certificate, and seed null", name, keys)
 
 
 # -- construction certificates -------------------------------------------------
@@ -247,8 +257,8 @@ def _verify_construction(cert: dict, digest_ok: bool, out: list[CheckResult]) ->
     out.append(
         _check(
             "atilde_table",
-            stored_table == fresh_table,
-            "stored symmetrization table disagrees with the block-count recursion",
+            len(stored_table) == len(cert["atilde"]) and stored_table == fresh_table,
+            "stored symmetrization table repeats a (k, j) or disagrees with the block-count recursion",
         )
     )
 
@@ -418,8 +428,7 @@ def _verify_group(cert: dict, digest_ok: bool, out: list[CheckResult]) -> None:
     try:
         structural = max_abelian_exponent(n, p)
         if mode == "brute":
-            # The stored budget is the producer's claim, not a bound the verifier accepts.
-            brute_order, brute_lambda = brute_force_lambda(n, p, budget=DEFAULT_BRUTE_BUDGET)
+            brute_order, brute_lambda = brute_force_lambda(n, p)
             ok = (
                 brute_order == stored_max
                 and brute_lambda == lam
@@ -512,7 +521,9 @@ def _verify_olshanskii(cert: dict, digest_ok: bool, budget: int, out: list[Check
         for fields in ([cert] if bound is None else [cert, bound])
     )
     out.append(_check("bound_exponents", exponents_ok, "bound exponent arithmetic is off"))
-    has_bound = bound is not None and bound.get("max_common_isotropic_dim") is not None
+    # A skipped exact search stores both fields null; either one present claims the exact bound.
+    stored = tuple((bound or {}).get(key) for key in ("max_common_isotropic_dim", "exact_abelian_exponent"))
+    has_bound = stored != (None, None)
     searches = ("isotropic_enumeration", "exact_abelian_bound")[: 1 + has_bound]
     if not digest_ok:
         out.extend(map(_skipped, searches))
@@ -537,16 +548,14 @@ def _verify_olshanskii(cert: dict, digest_ok: bool, budget: int, out: list[Check
     )
 
     if has_bound:
-        stored_d = decode_int(bound["max_common_isotropic_dim"])
         try:
             d_exact = max_common_isotropic_dim(forms, k, budget=budget)
             out.append(
                 _check(
                     "exact_abelian_bound",
-                    d_exact == stored_d
-                    and decode_int(bound["exact_abelian_exponent"]) == r + stored_d,
-                    "recomputed max common-isotropic dim {} != stored {}",
-                    d_exact, stored_d,
+                    None not in stored and tuple(map(decode_int, stored)) == (d_exact, r + d_exact),
+                    "stored dimension and exponent {}, recomputed {}",
+                    stored, (d_exact, r + d_exact),
                 )
             )
         except BudgetExceeded as exc:
@@ -636,12 +645,13 @@ def _verify_prime(cert: dict, out: list[CheckResult]) -> None:
     )
     out.append(_check("prime_qualifies", qualifies, "{} fails a required condition", p))
 
+    # The search examines MAX_PRIME_CANDIDATES members of the progression, so a
+    # p past the last is not its answer, and the walk below p stops there too.
     start = max(min_p, fresh_m + 1, 3)
-    candidate = start + (1 - start) % (n + 1)
-    minimal = True
-    while candidate < p:
-        if candidate % 2 and primes.is_prime(candidate) and h % candidate != 0:
-            minimal = False
-            break
-        candidate += n + 1
-    out.append(_check("prime_minimal", minimal, "{} qualifies and is smaller", candidate))
+    first = start + (1 - start) % (n + 1)
+    last = first + (n + 1) * (primes.MAX_PRIME_CANDIDATES - 1)
+    if p > last:
+        out.append(_check("prime_minimal", False, "{} is past {}, the last candidate the search examines", p, last))
+        return
+    smaller = next((c for c in range(first, p, n + 1) if c % 2 and primes.is_prime(c) and h % c != 0), None)
+    out.append(_check("prime_minimal", smaller is None, "{} qualifies and is smaller", smaller))

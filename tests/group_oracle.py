@@ -11,8 +11,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from pgroupcert.groups import DEFAULT_BRUTE_BUDGET, Coords, group_law, group_order
+from pgroupcert.groups import Coords, group_law, group_order
 from pgroupcert.symplectic import BudgetExceeded
+
+#: Most elements enumerate_group lists.
+ELEMENT_BUDGET = 10_000
 
 
 @dataclass(frozen=True)
@@ -104,7 +107,7 @@ def gen_f(n: int, p: int) -> HeisenbergElement:
     return HeisenbergElement(n, p, (0,) * n, (0,) * n, 1)
 
 
-def enumerate_group(n: int, p: int, budget: int = DEFAULT_BRUTE_BUDGET) -> list[HeisenbergElement]:
+def enumerate_group(n: int, p: int, budget: int = ELEMENT_BUDGET) -> list[HeisenbergElement]:
     """Every element, in coordinate order; refused when the group has more than ``budget``."""
     order = group_order(n, p)
     if order > budget:

@@ -223,10 +223,8 @@ def all_documents(chern_certificates, olshanskii_specs):
             certdoc.build_document(
                 "group",
                 "group",
-                {"n": n, "p": p, "mode": mode, "budget": 10_000},
-                certdoc.group_report_payload(
-                    n, p, mode, p ** (2 * n + 1), max_order, structural, lam, 10_000, agree
-                ),
+                {"n": n, "p": p, "mode": mode},
+                certdoc.group_report_payload(n, p, mode, p ** (2 * n + 1), max_order, structural, lam, agree),
             )
         )
     for key in ("vacuous", "heavy"):

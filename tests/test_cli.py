@@ -115,6 +115,18 @@ def test_group_structural_mode(runner):
 def test_group_budget_error(runner):
     result = runner.invoke(main, ["group", "--n", "3", "--p", "101", "--mode", "brute"])
     assert result.exit_code == 2
+    assert "group-law calls, budget is 200000" in result.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["group", "--n", "1", "--p", "3", "--budget", "5"], ["find-prime", "--n", "2", "--ceiling", "5"]],
+    ids=["group --budget", "find-prime --ceiling"],
+)
+def test_retired_bounds_are_unknown_options(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert f"unrecognized arguments: {args[-2]} 5" in result.output
 
 
 def test_olshanskii_vacuous_case(runner, tmp_path):
@@ -198,6 +210,15 @@ def test_find_prime(runner):
     result = runner.invoke(main, ["find-prime", "--n", "2", "--h", "7"])
     assert result.exit_code == 0
     assert json.loads(result.output)["certificate"]["prime"] == 13
+
+
+def test_find_prime_past_a_million_verifies(runner, tmp_path):
+    out = tmp_path / "prime.json"
+    result = runner.invoke(main, ["find-prime", "--n", "2", "--min", "2000000", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(out.read_text())["certificate"]["prime"] == 2_000_029
+    verify_result = runner.invoke(main, ["verify", str(out)])
+    assert verify_result.exit_code == 0, verify_result.output
 
 
 def test_usage_error_on_missing_flags(runner):
@@ -372,7 +393,7 @@ def test_olshanskii_rejects_bad_search_parameters(runner, args):
         ["group", "--n", str(MAX_GROUP_N), "--p", str(10**50 + 1)],
         ["group", "--n", "1", "--p", str(2**89 - 1)],
         ["certify", "--n", "1", "--p", str(2**89 - 1)],
-        ["find-prime", "--n", "1", "--min", str(10**31), "--ceiling", str(10**31 + 100)],
+        ["find-prime", "--n", "1", "--min", str(10**31)],
         ["certify", "--n", "1", "--r", "10000", "--p", "3"],
     ],
 )
@@ -423,6 +444,29 @@ def test_verify_accepts_only_json_booleans(runner, tmp_path, command, edit):
     result = runner.invoke(main, ["verify", str(_redigested(runner, tmp_path, command, edit))])
     assert result.exit_code == 2, result.output
     assert "expected a boolean" in result.output
+
+
+def _exact_bound_without_its_dimension(cert):
+    del cert["bound"]["max_common_isotropic_dim"]
+    cert["bound"]["exact_abelian_exponent"] = 2  # the true exponent is 4
+
+
+@pytest.mark.parametrize(
+    "command, edit, check",
+    [
+        (_OLSHANSKII, _exact_bound_without_its_dimension, "olshanskii:exact_abelian_bound"),
+        (
+            ["certify", "--n", "2", "--p", "7"],
+            lambda cert: cert["atilde"].append(cert["atilde"][0]),
+            "construction:atilde_table",
+        ),
+    ],
+    ids=["exact bound without its dimension", "repeated atilde entry"],
+)
+def test_verify_fails_a_claim_it_used_to_leave_unchecked(runner, tmp_path, command, edit, check):
+    result = runner.invoke(main, ["verify", str(_redigested(runner, tmp_path, command, edit))])
+    assert result.exit_code == 1, result.output
+    assert [line.split()[1] for line in result.output.splitlines() if line.startswith("FAIL")] == [check]
 
 
 def test_verify_of_checks_that_are_not_an_object_fails_in_a_fresh_process(runner, tmp_path):

@@ -10,6 +10,7 @@ import pytest
 from group_oracle import HeisenbergElement, enumerate_group, gen_a, gen_b, gen_f, identity
 from pgroupcert import groups
 from pgroupcert.groups import (
+    MAX_GROUP_N,
     brute_force_lambda,
     group_law,
     group_order,
@@ -126,9 +127,19 @@ def test_brute_force_budget():
 
 
 def test_brute_force_work_is_bounded_by_the_squared_order():
-    # 1331 elements fit the element budget; their 1331^2 products do not.
+    # The 1331 elements would fit a list, but their 1331^2 products are over the bound.
     with pytest.raises(BudgetExceeded, match="1771561 group-law calls"):
         brute_force_lambda(1, 11)
+
+
+def test_brute_force_is_refused_before_any_element_is_listed(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an element was listed")
+
+    monkeypatch.setattr(itertools, "product", refuse)
+    for n, p in [(1, 11), (3, 101), (MAX_GROUP_N, 3)]:
+        with pytest.raises(BudgetExceeded, match="group-law calls"):
+            brute_force_lambda(n, p)
 
 
 @pytest.mark.parametrize("n,p", [(1, 3), (2, 3), (2, 7), (3, 3)])

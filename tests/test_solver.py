@@ -2,7 +2,7 @@
 
 import itertools
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, prod
 
 import pytest
 
@@ -457,11 +457,19 @@ def test_find_prime_examples():
     assert find_prime(2, h=7) == 13
     assert find_prime(3) == 13
     assert find_prime(1, min_p=4) == 5
+    assert find_prime(2, min_p=2_000_000) == 2_000_029
 
 
 def test_find_prime_exhaustion():
-    with pytest.raises(SearchExhausted):
-        find_prime(2, ceiling=6)
+    # At n = 2 the search starts at 4, the least value = 1 mod 3 from max(1, M + 1, 3) = 3,
+    # and h divides out every prime among the candidates it examines.
+    examined = range(4, 4 + 3 * primes.MAX_PRIME_CANDIDATES, 3)
+    qualifying = [c for c in examined if c % 2 and primes.is_prime(c)]
+    h = prod(qualifying)
+    with pytest.raises(SearchExhausted, match=f"among the first {primes.MAX_PRIME_CANDIDATES} candidates"):
+        find_prime(2, h=h)
+    # The last candidate examined is still found when h spares it.
+    assert find_prime(2, h=h // qualifying[-1]) == qualifying[-1]
 
 
 def test_lambda_table_row_limit_is_inclusive():

@@ -1,6 +1,8 @@
 """Producer-checker consistency and mutation rejection."""
 
+import itertools
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -40,10 +42,10 @@ def construction_doc(n, r, p, lift="nonneg"):
     )
 
 
-def group_doc(n, p, mode="brute", budget=10_000):
+def group_doc(n, p, mode="brute"):
     structural = max_abelian_exponent(n, p)
     if mode == "brute":
-        max_order, lam = brute_force_lambda(n, p, budget=budget)
+        max_order, lam = brute_force_lambda(n, p)
         agree = max_order == p**structural
     else:
         max_order, lam = p**structural, Fraction(structural, 2 * n + 1)
@@ -51,10 +53,8 @@ def group_doc(n, p, mode="brute", budget=10_000):
     return certdoc.build_document(
         "group",
         "group",
-        {"n": n, "p": p, "mode": mode, "budget": budget},
-        certdoc.group_report_payload(
-            n, p, mode, group_order(n, p), max_order, structural, lam, budget, agree
-        ),
+        {"n": n, "p": p, "mode": mode},
+        certdoc.group_report_payload(n, p, mode, group_order(n, p), max_order, structural, lam, agree),
     )
 
 
@@ -123,11 +123,50 @@ def test_prime_document_verifies():
     doc = certdoc.build_document(
         "prime",
         "find-prime",
-        {"n": 2, "h": 7, "min": 1, "ceiling": 10**6},
-        certdoc.prime_payload(2, 7, 1, 10**6, p, compute_M(2)),
+        {"n": 2, "h": 7, "min": 1},
+        certdoc.prime_payload(2, 7, 1, p, compute_M(2)),
     )
     report = verify_document(reserialize(doc))
     assert report.ok, report.failures()
+
+
+def _prime_doc_with(h, p, n=2, min_p=1):
+    certificate = certdoc.prime_payload(n, h, min_p, p, compute_M(n))
+    params = {key: certificate[key] for key in ("n", "h", "min")}
+    return reserialize(certdoc.build_document("prime", "find-prime", params, certificate))
+
+
+def test_a_prime_past_the_candidates_the_search_examines_fails_minimality():
+    # At n = 2 the candidates are 4, 7, 10, ...; h divides out every prime among
+    # the first MAX_PRIME_CANDIDATES, so the least qualifying prime lies past them.
+    examined = range(4, 4 + 3 * primes.MAX_PRIME_CANDIDATES, 3)
+    qualifying = [c for c in examined if c % 2 and primes.is_prime(c)]
+    h = math.prod(qualifying)
+    beyond = next(c for c in itertools.count(examined[-1] + 3, 3) if c % 2 and primes.is_prime(c))
+    start = time.perf_counter()
+    report = verify_document(_prime_doc_with(h, beyond))
+    assert time.perf_counter() - start < 1.0
+    failed = {result.name: result.detail for result in report.failures()}
+    assert list(failed) == ["prime_minimal"]
+    last = examined[-1]
+    assert failed["prime_minimal"] == f"{beyond} is past {last}, the last candidate the search examines"
+    # The last candidate the search examines is still its answer when h spares it.
+    report = verify_document(_prime_doc_with(h // qualifying[-1], qualifying[-1]))
+    assert report.ok, report.failures()
+
+
+@pytest.mark.parametrize(
+    "make_doc, field, value",
+    [(lambda: group_doc(1, 3), "budget", 10**8), (lambda: _prime_doc_with(7, 13), "ceiling", 5)],
+    ids=["group budget", "prime ceiling"],
+)
+def test_a_document_that_records_a_retired_bound_fails_its_command_check(make_doc, field, value):
+    # Written as documents of these kinds once were: the bound in params and in the certificate.
+    doc = json.loads(json.dumps(make_doc()))
+    assert verify_document(doc).ok
+    doc["command"]["params"][field] = doc["certificate"][field] = value
+    report = verify_document(fix_digest(doc))
+    assert [result.name for result in report.failures()] == ["command"]
 
 
 # -- rejection of dishonest documents -----------------------------------------------
@@ -410,8 +449,8 @@ def prime_doc(n):
     return certdoc.build_document(
         "prime",
         "find-prime",
-        {"n": n, "h": 1, "min": 1, "ceiling": 10**6},
-        certdoc.prime_payload(n, 1, 1, 10**6, p, compute_M(n)),
+        {"n": n, "h": 1, "min": 1},
+        certdoc.prime_payload(n, 1, 1, p, compute_M(n)),
     )
 
 
@@ -462,8 +501,8 @@ def test_group_params_are_rejected_before_any_arithmetic(monkeypatch, n, p):
 
     monkeypatch.setattr(verify, "max_abelian_exponent", refuse)
     doc = group_doc(1, 3, mode="structural")
-    doc["certificate"]["n"] = n
-    doc["certificate"]["p"] = p
+    for fields in (doc["certificate"], doc["command"]["params"]):
+        fields.update(n=n, p=p)
     start = time.perf_counter()
     report = verify_document(fix_digest(doc))
     assert time.perf_counter() - start < 1.0
@@ -564,14 +603,16 @@ def test_construction_at_a_large_prime_is_quick(n, p):
 
 
 def test_brute_group_report_runs_under_the_verifiers_budget():
+    # The work bound is the library's, shared with the producer: a report stores none.
     doc = group_doc(1, 3, mode="brute")
-    doc["certificate"]["p"] = 101
-    doc["certificate"]["budget"] = 10**100
+    assert "budget" not in doc["certificate"] and "budget" not in doc["command"]["params"]
+    for fields in (doc["certificate"], doc["command"]["params"]):
+        fields["p"] = 101
     start = time.perf_counter()
     report = verify_document(fix_digest(doc))
     assert time.perf_counter() - start < 1.0
     failed = {result.name: result.detail for result in report.failures()}
-    assert "budget is 10000" in failed["bound_recomputation"]
+    assert failed["bound_recomputation"] == str(BudgetExceeded(101**6, BRUTE_WORK_BUDGET, what="group-law calls"))
 
 
 def test_abelian_bound_runs_in_full_under_any_budget():
@@ -701,7 +742,7 @@ def test_tall_matrix_fails_params():
 
 def test_checks_computed_before_a_malformed_field_are_kept():
     doc = json.loads(json.dumps(olshanskii_doc(1, 2, 3)))
-    del doc["certificate"]["bound"]["exact_abelian_exponent"]
+    del doc["certificate"]["bound"]["abelian_exponent"]
     report = verify_document(fix_digest(doc))
     names = [result.name for result in report.results]
     assert names == [
@@ -710,8 +751,6 @@ def test_checks_computed_before_a_malformed_field_are_kept():
         "k_choice",
         "matrices_invertible",
         "form_congruence",
-        "bound_exponents",
-        "isotropic_enumeration",
         "well_formed",
     ]
     assert [result.name for result in report.failures()] == ["well_formed"]
@@ -828,10 +867,11 @@ def test_brute_group_reports_within_the_work_budget_verify(n, p):
 
 
 def test_brute_group_report_is_bounded_by_its_squared_order():
-    # 13^3 = 2197 elements fit the element budget, but the oracle's product
-    # table would take 2197^2 group-law calls (about 13 s).
+    # The oracle's product table on 13^3 = 2197 elements would take 2197^2
+    # group-law calls (about 13 s).
     doc = group_doc(1, 3, mode="brute")
     doc["certificate"].update(p=13, order=13**3, max_abelian_order=13**2)
+    doc["command"]["params"]["p"] = 13
     start = time.perf_counter()
     report = verify_document(fix_digest(doc))
     assert time.perf_counter() - start < 1.0
@@ -840,6 +880,29 @@ def test_brute_group_report_is_bounded_by_its_squared_order():
     assert failed["bound_recomputation"] == str(
         BudgetExceeded(13**6, BRUTE_WORK_BUDGET, what="group-law calls")
     )
+
+
+@pytest.mark.parametrize(
+    "fields, deleted, failures",
+    [
+        ({"max_common_isotropic_dim": None, "exact_abelian_exponent": 2}, None, ["exact_abelian_bound"]),
+        ({"max_common_isotropic_dim": None}, None, ["exact_abelian_bound"]),
+        ({}, "exact_abelian_exponent", ["exact_abelian_bound"]),
+        ({"exact_abelian_exponent": None}, None, ["exact_abelian_bound"]),
+        ({"max_common_isotropic_dim": None, "exact_abelian_exponent": None}, None, []),
+    ],
+    ids=["dimension null", "only the dimension null", "exponent deleted", "exponent null", "search skipped"],
+)
+def test_an_exact_bound_needs_both_its_fields(fields, deleted, failures):
+    # A skipped exact search stores both fields null and claims nothing; either field alone claims the bound.
+    doc = json.loads(json.dumps(olshanskii_doc(2, 2, 3, seed=1)))
+    bound = doc["certificate"]["bound"]
+    assert (bound["max_common_isotropic_dim"], bound["exact_abelian_exponent"]) == (2, 4)
+    bound.update(fields)
+    bound.pop(deleted, None)
+    report = verify_document(fix_digest(doc))
+    assert report.results[0].passed
+    assert [result.name for result in report.failures()] == failures
 
 
 def test_olshanskii_stored_bound_exponents_are_checked():

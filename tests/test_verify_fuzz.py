@@ -7,6 +7,8 @@ refuse it.  Raw bytes, UTF-8 or not, are fuzzed too.  Every case must end
 in a VerificationReport or a ParseError, which the command line reports as
 exit 0 or 1 and as exit 2, within a time bound: never in another exception.
 Extreme values are tested by their rejection, so none is ever run.
+Group and prime documents are checked in every field, so there every
+deterministic single-field edit must also fail verification.
 """
 
 import contextlib
@@ -168,3 +170,53 @@ def test_raw_bytes_end_in_a_report_or_a_parse_error(doc_path, kind, at, junk):
     else:
         assert status == _verify_in_process(text)
     assert time.perf_counter() - start < TIME_BOUND, (kind, cut, junk)
+
+
+#: What a field is replaced by: null, zero, and a value of each JSON type.
+REPLACEMENTS = (None, 0, "0", True, "x", 1.5, [], {})
+
+#: Stands for deleting the field.
+_DELETE = object()
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _single_field_edits(text):
+    """(path, new value, edited text) for every deletion, replacement and +-1 of one field.
+
+    The digest is recomputed, so only the verifier's own checks can refuse the
+    edit.  ``generated_at`` lies outside the digest by design and is left out,
+    and so is a replacement that leaves the field as it was.
+    """
+    for path in _paths(json.loads(text)):
+        if path[0] in ("digest", "generated_at"):
+            continue
+        value = _at(json.loads(text), path)
+        news = [_DELETE, *REPLACEMENTS]
+        if "bump" in _edits(value):
+            news += [certdoc.encode_int(certdoc.decode_int(value) + step) for step in (-1, 1)]
+        for new in news:
+            if new is not _DELETE and certdoc.canonical_json(new) == certdoc.canonical_json(value):
+                continue
+            doc = json.loads(text)
+            parent = _at(doc, path[:-1])
+            if new is _DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = copy.deepcopy(new)
+            doc["digest"] = certdoc.compute_digest(certdoc.document_digestable(doc))
+            yield path, "delete" if new is _DELETE else new, certdoc.serialize_document(doc)
+
+
+@pytest.mark.parametrize("kind", ["group", "prime"])
+def test_every_single_field_edit_of_a_group_or_prime_document_fails(kind):
+    text = document_text(kind)
+    assert _verify_in_process(text) == 0
+    edits = list(_single_field_edits(text))
+    assert len(edits) > 100
+    accepted = [(path, new) for path, new, edited in edits if _verify_in_process(edited) == 0]
+    assert accepted == []
