@@ -238,8 +238,8 @@ def construction_payload(cert: ConstructionCertificate) -> dict[str, Any]:
     return {
         "n": cert.n,
         "r": cert.r,
-        "p": cert.p,
-        "M": cert.M,
+        "p": encode_int(cert.p),
+        "M": encode_int(cert.M),
         "lift_convention": cert.lift_convention,
         "residues": encode_int_list(cert.residues),
         "a": encode_int_list(cert.a),
@@ -284,7 +284,7 @@ def group_report_payload(
 ) -> dict[str, Any]:
     payload = {
         "n": n,
-        "p": p,
+        "p": encode_int(p),
         "mode": mode,
         "order_exponent": 2 * n + 1,
         "order": encode_int(order),
@@ -300,12 +300,12 @@ def group_report_payload(
 def olshanskii_payload(spec: ProductSubgroupSpec, bound: ProductBound | None) -> dict[str, Any]:
     row = spec.row
     transcript = dict(spec.transcript)
-    examined = transcript.get("subspaces_examined_per_attempt")
-    if examined is not None:
-        transcript["subspaces_examined_per_attempt"] = encode_int(examined)
+    for key in ("seed", "subspaces_examined_per_attempt"):
+        if transcript.get(key) is not None:
+            transcript[key] = encode_int(transcript[key])
     payload = {
         "n": spec.n,
-        "p": spec.p,
+        "p": encode_int(spec.p),
         "r": spec.r,
         "k": spec.k,
         "mats": [encode_matrix(a) for a in spec.mats],

@@ -68,7 +68,7 @@ def certify(args: argparse.Namespace) -> int:
     doc = certdoc.build_document(
         kind="construction",
         command="certify",
-        params={"n": n, "r": r, "p": p, "lifts": lifts},
+        params={"n": n, "r": r, "p": certdoc.encode_int(p), "lifts": lifts},
         certificate=certdoc.construction_payload(cert),
     )
     _write_output(certdoc.serialize_document(doc), args.out)
@@ -118,9 +118,9 @@ def olshanskii(args: argparse.Namespace) -> int:
     doc = certdoc.build_document(
         kind="olshanskii",
         command="olshanskii",
-        params={"n": n, "r": r, "p": p, "seed": seed, "budget": budget, "attempts": attempts},
+        params={key: certdoc.encode_int(getattr(args, key)) for key in ("n", "r", "p", "seed", "budget", "attempts")},
         certificate=certdoc.olshanskii_payload(spec, bound),
-        seed=seed,
+        seed=certdoc.encode_int(seed),
     )
     _write_output(certdoc.serialize_document(doc), args.out)
     return 0 if spec.certified else 1
@@ -129,6 +129,10 @@ def olshanskii(args: argparse.Namespace) -> int:
 def lambda_table(args: argparse.Namespace) -> int:
     """Tabulate the abelian-fraction bounds (n+1)/(2n+1) and (r+min(k,2n))/(2n+r)."""
     max_n, max_r, epsilon = args.max_n, args.max_r, args.epsilon
+    # Fraction() would expand 1e999999 into a million-digit value; with no exponent,
+    # the 4300-digit int limit bounds every accepted epsilon.
+    if epsilon is not None and "e" in epsilon.lower():
+        raise UsageError(f"--epsilon takes a fraction or a decimal without an exponent, got {epsilon!r}")
     try:
         rows = solver.lambda_table(max_n, max_r)
         eps = Fraction(epsilon) if epsilon is not None else None

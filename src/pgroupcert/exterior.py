@@ -31,15 +31,16 @@ the block holding T's least element, then split the rest), so
 ``a_{k,j} = c^j w(jk) / (jk)!``.  All arithmetic is exact; nothing is a
 float.
 
-Both sides also share two readings of a table: ``m_chain``, the
-divisibility recursion that gives M(n), which each feeds its own table,
-and ``construction_notes``, the notes a construction certificate records.
+Both sides also share ``construction_notes``, the notes a construction
+certificate records.  M(n) is not read off a table here: the producer
+takes its proved closed form (solver.compute_M), and the verifier runs
+the divisibility recursion (verify.m_chain) on its own table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial
 from typing import NamedTuple
 
 #: The one work bound on n, for the producer's and the verifier's tables
@@ -129,26 +130,6 @@ def atilde_table(n: int) -> dict[tuple[int, int], Fraction]:
     atilde_{k,j} omega^(jk).
     """
     return _closed_form(n, scaled=True)
-
-
-def m_chain(n: int, table: dict[tuple[int, int], Fraction]) -> tuple[int, ...]:
-    """Witnesses (m_1, ..., m_n) of the spanning recursion on an atilde table; M(n) = m_1.
-
-    m_n is the least positive integer multiple of atilde_{n,1}; for
-    i < n, m_i' is the least positive multiple of atilde_{i,1}, m_i'' is
-    the least positive integer with m_i'' * atilde_{i,j} in m_(i+1) Z for
-    every j > 1, and m_i = m_i' * m_i''.  The producer feeds it the closed
-    form, the verifier the block-count recursion.
-    """
-    chain = [0] * (n + 1)
-    chain[n] = abs(table[(n, 1)].numerator)
-    for i in range(n - 1, 0, -1):
-        m_doubleprime = 1
-        for j in range(2, n // i + 1):
-            den = (table[(i, j)] / chain[i + 1]).denominator
-            m_doubleprime = m_doubleprime * den // gcd(m_doubleprime, den)
-        chain[i] = abs(table[(i, 1)].numerator) * m_doubleprime
-    return tuple(chain[1:])
 
 
 def construction_notes(n: int, lift: str, conditional: bool) -> tuple[list[str], str]:

@@ -1,6 +1,7 @@
 """End-to-end construction solver: roots of unity, the constant M(n), the delta solver, certificates.
 
-The pipeline, for an odd prime p = 1 mod (n+1) with p > M(n):
+The pipeline, for an odd prime p = 1 mod (n+1) with p > M(n), where M(n)
+is n! or (n-1)! by the proof in compute_M:
 
 1. the (n+1)-st roots of unity in (Z/p^n)* are found and lifted to
    integers a_1..a_(n+1); their elementary symmetric functions s_j are all
@@ -29,12 +30,11 @@ failed, and the CLI then exits 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 from typing import NamedTuple
 
 from . import certdoc, primes
-from .exterior import MAX_SYMMETRIZATION_N, atilde_table, construction_notes, m_chain
+from .exterior import MAX_SYMMETRIZATION_N, atilde_table, construction_notes
 from .groups import LambdaRow, lambda_row, max_abelian_exponent
 from .series import OmegaSeries, elementary_symmetric
 
@@ -160,19 +160,46 @@ def find_roots(n: int, p: int, lift: str = "nonneg") -> RootFamily:
 # -- the constant M(n) -----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _m_chain(n: int) -> tuple[int, ...]:
-    """exterior.m_chain on the closed-form table, minimal at each step."""
-    return m_chain(n, atilde_table(n))
-
-
 def compute_M(n: int) -> int:
-    """The divisibility threshold M(n); deterministic in n alone (no p involved)."""
+    """The divisibility threshold M(n) in closed form: n! when n = 1 or n is prime, else (n-1)!.
+
+    M(n) is m_1 of the spanning recursion on the atilde table, which
+    verify.m_chain runs on its own block-count table: m_n is the least
+    positive multiple of atilde_{n,1}, and for i < n,
+    m_i = |atilde_{i,1}| * lcm_{2 <= j <= n/i} den(atilde_{i,j} / m_(i+1)).
+
+    Proof.  Let c_i = (i-1)!(n-i)!.  The closed-form table has
+    atilde_{i,1} = eps_i c_i and atilde_{i,j} = eps_i^j c_i^j / j!, so
+    m_n = c_n and, for i < n, m_i = c_i * lcm_j den(c_i^j / (j! m_(i+1))).
+
+    1. m_i = c_i for 2 <= i <= n, except m_2 = 12 at n = 5.  By downward
+       induction on i from m_n = c_n: given m_(i+1) = c_(i+1), since
+       c_(i+1) = c_i * i / (n-i) the j-th term is an integer exactly
+       when j! * i divides c_i^(j-1) (n-i).  Every j in range has
+       n >= j i, so n-i >= (j-1) i >= i.
+       - j >= 3: j <= 2(j-1) <= n-i, so j! and i both divide (n-i)!,
+         and j! * i divides ((n-i)!)^2, which divides c_i^(j-1).
+       - j = 2: the condition is 2i | (i-1)!(n-i)!(n-i).  For i >= 3,
+         2 and i are distinct factors of (n-i)!.  For i = 2 it reads
+         4 | (n-2)!(n-2), which holds at n = 4 and n >= 6 and fails at
+         n = 5, where m_2 = 6 * den(36/8) = 12.
+    2. m_1 = n! when n is 1 or prime, and (n-1)! otherwise.  Here
+       c_1 = (n-1)!.  At n = 1 there is no term and m_1 = 1.  For n >= 2,
+       n != 5, m_2 = c_2 = (n-2)!, so the j-th term is
+       (n-1) ((n-1)!)^(j-1) / j!, an integer for every j < n.  The j = n
+       term has denominator n / gcd(n, (n-1) ((n-1)!)^(n-2)): that is n
+       when n is prime, and 1 when n is composite, since n | (n-1)! for
+       composite n >= 6 and gcd(4, 3 * 6^2) = 4.  At n = 5, where
+       m_2 = 12, the terms 2 * 24^(j-1) / j! are integers for j = 2, 3, 4,
+       and j = 5 has denominator 5, so m_1 = 4! * 5 = 5!.
+
+    At n = 1 both branches give 1, so the code needs only the primality of n.
+    """
     if n < 1:
         raise PreconditionError("n must be at least 1")
     if n > MAX_SYMMETRIZATION_N:
         raise PreconditionError(f"n={n} exceeds the supported maximum {MAX_SYMMETRIZATION_N}")
-    return _m_chain(n)[0]
+    return factorial(n) if primes.is_prime(n) else factorial(n - 1)
 
 
 # -- the delta solver --------------------------------------------------------

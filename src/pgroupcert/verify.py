@@ -4,16 +4,17 @@ The verifier trusts nothing but the raw integers in the document.  It
 never calls the producing solver, and re-derives on its own the
 symmetrization table, by counting the block splittings in the subset
 product prod_{|S|=k} (1 + eps_k k!(n-k)! y_S) of the subring y_i = u_i v_i
-(the producer reads the same table from its closed form instead), M from
-that table, the line product by multiplying out the lifts (the producer
-reads it off the symmetric functions), the Chern product by the logarithm
-(its own table's shape atilde_{k,j} = atilde_{k,1}^j / j! and, at each k,
+(the producer reads the same table from its closed form instead), M by
+the divisibility recursion m_chain on that table (the producer takes M's
+proved closed form instead), the line product by multiplying out the
+lifts (the producer reads it off the symmetric functions), the Chern
+product by the logarithm (its own table's shape
+atilde_{k,j} = atilde_{k,1}^j / j! and, at each k,
 k delta_k p^(2k) atilde_{k,1} = (-M p)^k P_k), and the matrix congruences.
 
 It shares with the producer what a copy would not derive a second time:
 
-* the divisibility recursion exterior.m_chain, which each side feeds its
-  own table, and the symmetric functions series.elementary_symmetric;
+* the symmetric functions series.elementary_symmetric;
 * the certificate's notes and tau note, exterior.construction_notes,
   which the stored fields must equal;
 * the bound rule, groups.lambda_row, which defines k and the exponents of
@@ -45,7 +46,7 @@ certificate's fields give, with no seed, so every field of it is checked.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from typing import Any, NamedTuple
 
 from . import primes
@@ -65,12 +66,7 @@ from .certdoc import (
     decode_matrix,
     document_digestable,
 )
-from .exterior import (
-    MAX_SYMMETRIZATION_N,
-    construction_notes,
-    m_chain,
-    symmetrization_coefficients,
-)
+from .exterior import MAX_SYMMETRIZATION_N, construction_notes, symmetrization_coefficients
 from .groups import (
     MAX_GROUP_N,
     brute_force_lambda,
@@ -123,6 +119,27 @@ def _rederive_atilde(n: int) -> dict[tuple[int, int], Fraction]:
         for k in range(1, n + 1)
         for j, a in enumerate(symmetrization_coefficients(n, k), start=1)
     }
+
+
+def m_chain(n: int, table: dict[tuple[int, int], Fraction]) -> tuple[int, ...]:
+    """Witnesses (m_1, ..., m_n) of the spanning recursion on an atilde table; M(n) = m_1.
+
+    m_n is the least positive integer multiple of atilde_{n,1}; for
+    i < n, m_i' is the least positive multiple of atilde_{i,1}, m_i'' is
+    the least positive integer with m_i'' * atilde_{i,j} in m_(i+1) Z for
+    every j > 1, and m_i = m_i' * m_i''.  The verifier feeds it its
+    block-count table; the producer takes M from the closed form that
+    solver.compute_M proves from this recursion, so the two routes differ.
+    """
+    chain = [0] * (n + 1)
+    chain[n] = abs(table[(n, 1)].numerator)
+    for i in range(n - 1, 0, -1):
+        m_doubleprime = 1
+        for j in range(2, n // i + 1):
+            den = (table[(i, j)] / chain[i + 1]).denominator
+            m_doubleprime = m_doubleprime * den // gcd(m_doubleprime, den)
+        chain[i] = abs(table[(i, 1)].numerator) * m_doubleprime
+    return tuple(chain[1:])
 
 
 def _is_power(value: int, p: int, e: int) -> bool:
@@ -298,12 +315,13 @@ def _verify_construction(cert: dict, digest_ok: bool, out: list[CheckResult]) ->
             )
         )
 
+        # The verifier's own M, bounded by n, never the stored one, whose size only the decoder bounds.
         product = OmegaSeries.one(n)
         for a in lifts:
-            product = product * OmegaSeries.from_dict(n, {0: 1, 1: a * M * p})
+            product = product * OmegaSeries.from_dict(n, {0: 1, 1: a * fresh_m * p})
         inv = product.inverse()
         b_ok = all(inv.coefficient(j) == b[j - 1] for j in range(1, n + 1)) and all(
-            b[j - 1] % (M * p ** (2 * j)) == 0 for j in range(1, n + 1)
+            b[j - 1] % (fresh_m * p ** (2 * j)) == 0 for j in range(1, n + 1)
         )
         out.append(_check("b_series", b_ok, "stored b does not match the inverse series or its divisibility"))
 

@@ -529,3 +529,58 @@ def test_an_out_path_that_cannot_be_written_is_a_usage_error(runner, tmp_path, c
     result = runner.invoke(main, [*command.split(), "--out", str(out)])
     _assert_one_line_usage_error(result, f"cannot write {out}: [Errno 2] No such file or directory: '{out}'")
     assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("epsilon", ["1e999999", "1e-999999", "1E5"])
+def test_lambda_table_refuses_an_exponent_in_epsilon(runner, tmp_path, epsilon):
+    # Fraction() expands an exponent into a value of a million digits, which the
+    # verifier's decoder refuses to read; the text is refused before it is parsed.
+    out = tmp_path / "table.json"
+    start = time.perf_counter()
+    result = runner.invoke(main, ["lambda-table", "--max-n", "1", "--max-r", "1", "--epsilon", epsilon, "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    _assert_one_line_usage_error(result, f"--epsilon takes a fraction or a decimal without an exponent, got {epsilon!r}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("epsilon", ["2/3", "0.5"])
+def test_lambda_table_epsilon_without_an_exponent_verifies(runner, tmp_path, epsilon):
+    out = tmp_path / "table.json"
+    result = runner.invoke(main, ["lambda-table", "--max-n", "1", "--max-r", "1", "--epsilon", epsilon, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["verify", str(out)])
+    assert result.exit_code == 0, result.output
+
+
+def _bare_integers_past_2_53(node):
+    """The JSON integers in node whose absolute value exceeds 2^53."""
+    if isinstance(node, bool):
+        return []
+    if isinstance(node, int):
+        return [node] if abs(node) > 2**53 else []
+    children = node.values() if isinstance(node, dict) else node if isinstance(node, list) else []
+    return [value for child in children for value in _bare_integers_past_2_53(child)]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "certify --n 1 --p 1152921504606847009",
+        "group --n 1 --p 1152921504606847009",
+        # p stays small under the raised budget: an exact search at p near 2^60 enumerates p + 1 lines.
+        "olshanskii --n 2 --r 2 --p 3 --seed 1152921504606846976 --budget 100000000000000000000",
+        "olshanskii --n 1 --r 2 --p 1152921504606847009 --seed 1152921504606846976",
+    ],
+)
+def test_every_integer_past_2_53_is_written_as_a_string(runner, tmp_path, command):
+    out = tmp_path / "doc.json"
+    result = runner.invoke(main, [*command.split(), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(out.read_text())
+    assert _bare_integers_past_2_53(doc) == []
+    words = command.split()
+    large = {flag[2:]: value for flag, value in zip(words[1::2], words[2::2]) if int(value) > 2**53}
+    assert {key: doc["command"]["params"][key] for key in large} == large
+    result = runner.invoke(main, ["verify", str(out)])
+    assert result.exit_code == 0, result.output
+    assert "FAIL" not in result.output

@@ -7,7 +7,7 @@ from math import factorial, gcd, prod
 import pytest
 
 import chern_oracle
-from pgroupcert import certdoc, exterior, primes, series, solver
+from pgroupcert import certdoc, exterior, primes, series, solver, verify
 from pgroupcert.exterior import MAX_SYMMETRIZATION_N, atilde_table
 from pgroupcert.groups import epsilon_witness, lambda_row
 from pgroupcert.series import OmegaSeries
@@ -154,18 +154,26 @@ def test_compute_M_values():
     assert compute_M(4) == 6
 
 
-@pytest.mark.parametrize("n", range(1, MAX_SYMMETRIZATION_N + 1))
-def test_M_is_n_factorial_for_small_or_prime_n_and_else_n_minus_1_factorial(n):
-    # An observed pattern of the paper's recursion (m_chain), pinned up to the cap.
-    expected = factorial(n) if n <= 3 or primes.is_prime(n) else factorial(n - 1)
+@pytest.mark.parametrize("n", range(1, 61))
+def test_M_is_n_factorial_for_small_or_prime_n_and_else_n_minus_1_factorial(monkeypatch, n):
+    # compute_M's closed form against the recursion it is proved from, on the
+    # producer's closed-form table and on the verifier's block-count table.
+    monkeypatch.setattr(exterior, "MAX_SYMMETRIZATION_N", 60)
+    monkeypatch.setattr(solver, "MAX_SYMMETRIZATION_N", 60)
+    expected = factorial(n) if n == 1 or primes.is_prime(n) else factorial(n - 1)
     assert compute_M(n) == expected
+    for table in (atilde_table(n), verify._rederive_atilde(n)):
+        chain = verify.m_chain(n, table)
+        assert chain[0] == expected
+        # The witnesses m_2..m_n of the proof: (i-1)!(n-i)!, except m_2 = 12 at n = 5.
+        witnesses = [12 if (n, i) == (5, 2) else factorial(i - 1) * factorial(n - i) for i in range(2, n + 1)]
+        assert list(chain[1:]) == witnesses
 
 
 def test_M_recursion_witnesses_n2():
     # m_2 = 1 (atilde_{2,1} = -1), m_1' = 1, m_1'' = 2 (atilde_{1,2} = 1/2)
-    from pgroupcert.solver import _m_chain
-
-    assert _m_chain(2) == (2, 1)
+    for table in (atilde_table(2), verify._rederive_atilde(2)):
+        assert verify.m_chain(2, table) == (2, 1)
 
 
 # -- the delta solver ------------------------------------------------------------
@@ -359,8 +367,8 @@ def test_certify_builds_each_G_class_once(monkeypatch, n, p):
 
 
 @pytest.mark.parametrize("n", [1, 6, 10])
-def test_certify_builds_the_atilde_table_at_most_three_times(monkeypatch, n):
-    # Once for M (cached per n, cleared here), once for the deltas, once for the stored table.
+def test_certify_builds_the_atilde_table_twice(monkeypatch, n):
+    # Once for the deltas and once for the stored table; M is a closed form.
     p = find_prime(n)
     calls = []
     real = exterior.atilde_table
@@ -371,10 +379,8 @@ def test_certify_builds_the_atilde_table_at_most_three_times(monkeypatch, n):
 
     for module in (exterior, series, solver):
         monkeypatch.setattr(module, "atilde_table", counted)
-    solver._m_chain.cache_clear()
     certify(n, 1, p)
-    solver._m_chain.cache_clear()
-    assert calls == [n] * len(calls) and len(calls) <= 3
+    assert calls == [n, n]
 
 
 def test_certify_preconditions():

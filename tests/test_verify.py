@@ -220,6 +220,27 @@ def test_M_mutation_fails_recomputation():
     assert any(r.name == "M" for r in report.failures())
 
 
+@pytest.mark.parametrize("n", [6, 7])
+def test_an_M_from_the_other_branch_of_the_closed_form_fails_M(n):
+    # 6! in place of M(6) = 5! and of M(7) = 7!: verify derives M by its own
+    # recursion, so a value the producer's formula would give for the wrong branch fails.
+    doc = json.loads(json.dumps(construction_doc(n, 1, find_prime(n))))
+    doc["certificate"]["M"] = 720
+    failed = {r.name: r.detail for r in verify_document(fix_digest(doc)).failures()}
+    assert failed["M"] == f"stored M=720, recomputed {compute_M(n)}"
+
+
+def test_a_stored_M_of_half_a_million_bits_fails_M_alone_at_once():
+    # The line product is built with the verifier's own M, so the stored one costs
+    # only its decoding; with the stored M it took seconds at n = 10.
+    doc = json.loads(json.dumps(construction_doc(10, 1, 363067)))
+    doc["certificate"]["M"] = "0x" + "f" * certdoc.MAX_HEX_DIGITS
+    start = time.perf_counter()
+    report = verify_document(fix_digest(doc))
+    assert time.perf_counter() - start < 1.0
+    assert [r.name for r in report.failures()] == ["M"]
+
+
 def test_matrix_mutation_fails_congruence_or_digest():
     doc = olshanskii_doc(1, 2, 3)
     bad = fix_digest(mutate(doc, ["mats", 1, 0, 0], 1))
