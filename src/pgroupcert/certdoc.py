@@ -11,8 +11,7 @@ ones that would happen to form a differently-valid witness.
 
 This layer imports only the standard library: the producer's types are
 named for type checking alone, so the verifier and each CLI process load
-it without the mathematics.  Decoders that build library objects, such as
-the truncated series of a Chern product, live with the verifier.
+it without the mathematics.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
-    from .groups import LambdaRow
+    from .groups import GroupReport, LambdaRow
     from .products import ProductBound, ProductSubgroupSpec
     from .solver import ConstructionCertificate
 
@@ -231,7 +230,14 @@ def parse_document(text: str) -> dict[str, Any]:
     return doc
 
 
-# -- payload builders for each certificate type ------------------------------
+def fits_document(p: int, e: int) -> bool:
+    """p**e (p >= 2) has at most MAX_INT_DIGITS digits; a lower bound on its bits refuses a large e unpowered."""
+    if e * (p.bit_length() - 1) >= DECIMAL_LIMIT.bit_length():
+        return False
+    return p**e < DECIMAL_LIMIT
+
+
+# -- payload builders for each certificate type (verify rebuilds some with them) --
 
 
 def construction_payload(cert: ConstructionCertificate) -> dict[str, Any]:
@@ -250,21 +256,12 @@ def construction_payload(cert: ConstructionCertificate) -> dict[str, Any]:
             {"k": k, "j": j, "value": encode_fraction(v)}
             for (k, j), v in sorted(cert.atilde.items())
         ],
-        # The unit series: solver's deltas make the product 1 by the logarithm identity.
-        "chern_product": {
-            "n": cert.n, "coeffs": [{"num": "0" if j else "1", "den": "1"} for j in range(cert.n + 1)]
-        },
+        "chern_product": unit_series_payload(cert.n),
         "rank": encode_int(cert.rank),
         "tau": encode_int(cert.tau),
         "tau_note": cert.tau_note,
         "tau_best_known": encode_int(cert.tau_best_known),
-        "group": {
-            "order_exponent": cert.row.order_exponent,
-            "order": encode_int(cert.group_order),
-            "abelian_exponent": cert.row.abelian_exponent,
-            "abelian_bound_conditional": cert.row.k is not None,
-            "lambda": encode_fraction(cert.row.bound),
-        },
+        "group": construction_group_payload(cert.p, cert.row),
         "checks": dict.fromkeys(CONSTRUCTION_CHECKS, True),
         "overall_pass": True,
         "notes": list(cert.notes),
@@ -272,28 +269,35 @@ def construction_payload(cert: ConstructionCertificate) -> dict[str, Any]:
     }
 
 
-def group_report_payload(
-    n: int,
-    p: int,
-    mode: str,
-    order: int,
-    max_abelian_order: int,
-    max_abelian_exponent: int,
-    lam: Fraction,
-    modes_agree: bool | None,
-) -> dict[str, Any]:
+def unit_series_payload(n: int) -> dict[str, Any]:
+    """A construction's chern_product: solver's deltas make it the unit series by the logarithm identity."""
+    return {"n": n, "coeffs": [encode_fraction(int(j == 0)) for j in range(n + 1)]}
+
+
+def construction_group_payload(p: int, row: LambdaRow) -> dict[str, Any]:
+    """A construction's group block: the order p^(2n+r) and the bound lambda_row(n, r) gives."""
+    return {
+        "order_exponent": row.order_exponent,
+        "order": encode_int(p**row.order_exponent),
+        "abelian_exponent": row.abelian_exponent,
+        "abelian_bound_conditional": row.k is not None,
+        "lambda": encode_fraction(row.bound),
+    }
+
+
+def group_report_payload(n: int, p: int, mode: str, report: GroupReport) -> dict[str, Any]:
     payload = {
         "n": n,
         "p": encode_int(p),
         "mode": mode,
         "order_exponent": 2 * n + 1,
-        "order": encode_int(order),
-        "max_abelian_order": encode_int(max_abelian_order),
-        "max_abelian_exponent": max_abelian_exponent,
-        "lambda": encode_fraction(lam),
+        "order": encode_int(report.order),
+        "max_abelian_order": encode_int(report.max_abelian_order),
+        "max_abelian_exponent": report.max_abelian_exponent,
+        "lambda": encode_fraction(report.lam),
     }
-    if modes_agree is not None:
-        payload["modes_agree"] = modes_agree
+    if report.modes_agree is not None:
+        payload["modes_agree"] = report.modes_agree
     return payload
 
 
@@ -335,18 +339,8 @@ def lambda_table_payload(
     payload = {
         "max_n": max_n,
         "max_r": max_r,
-        "rows": [
-            {
-                "n": row.n,
-                "r": row.r,
-                "k": row.k,
-                "abelian_exponent": row.abelian_exponent,
-                "order_exponent": row.order_exponent,
-                "bound": encode_fraction(row.bound),
-                "exponent_form_exact": row.exponent_form_exact,
-            }
-            for row in rows
-        ],
+        # Every field of each row, its bound as a fraction pair.
+        "rows": [{**row._asdict(), "bound": encode_fraction(row.bound)} for row in rows],
     }
     if epsilon is not None:
         payload["epsilon"] = encode_fraction(epsilon)

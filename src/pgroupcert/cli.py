@@ -20,13 +20,7 @@ from fractions import Fraction
 from typing import NoReturn
 
 from . import certdoc, primes, solver
-from .groups import (
-    MAX_GROUP_N,
-    brute_force_lambda,
-    epsilon_witness,
-    group_order,
-    max_abelian_exponent,
-)
+from .groups import MAX_GROUP_N, epsilon_witness, group_report
 from .products import DEFAULT_SEARCH_ATTEMPTS, olshanskii_search, product_subgroup_bound
 from .symplectic import DEFAULT_SUBSPACE_BUDGET, BudgetExceeded
 from .verify import verify_document
@@ -80,21 +74,11 @@ def group(args: argparse.Namespace) -> int:
     n, p, mode = args.n, args.p, args.mode
     if not 1 <= n <= MAX_GROUP_N or not primes.is_odd_prime(p):
         raise UsageError(f"need 1 <= n <= {MAX_GROUP_N} and an odd prime p")
-    order = group_order(n, p)
     try:
-        structural = max_abelian_exponent(n, p)
-        if mode == "brute":
-            max_order, lam = brute_force_lambda(n, p)
-            exponent = int(lam * (2 * n + 1))
-            modes_agree = exponent == structural
-        else:
-            exponent = structural
-            max_order = p**exponent
-            lam = Fraction(exponent, 2 * n + 1)
-            modes_agree = None
+        report = group_report(n, p, mode)
     except BudgetExceeded as exc:
         raise UsageError(str(exc)) from exc
-    certificate = certdoc.group_report_payload(n, p, mode, order, max_order, exponent, lam, modes_agree)
+    certificate = certdoc.group_report_payload(n, p, mode, report)
     doc = certdoc.build_document(
         kind="group",
         command="group",
@@ -102,7 +86,7 @@ def group(args: argparse.Namespace) -> int:
         certificate=certificate,
     )
     _write_output(certdoc.serialize_document(doc), args.out)
-    return 1 if modes_agree is False else 0
+    return 1 if report.modes_agree is False else 0
 
 
 def olshanskii(args: argparse.Namespace) -> int:
@@ -136,6 +120,8 @@ def lambda_table(args: argparse.Namespace) -> int:
     try:
         rows = solver.lambda_table(max_n, max_r)
         eps = Fraction(epsilon) if epsilon is not None else None
+        # Written in lowest terms, as verify rebuilds it from the certificate's epsilon.
+        epsilon = str(eps) if eps is not None else None
     except (solver.PreconditionError, ValueError, ZeroDivisionError) as exc:
         raise UsageError(str(exc)) from exc
     witness = epsilon_witness(rows, eps) if eps is not None else None

@@ -12,7 +12,8 @@ pinned by the test suite via [a_i, b_i] = f.
 
 The law is written once, in group_law, on coordinate tuples x + y + (z,).
 The abelian-fraction bound of r such groups glued along a form family is
-derived once too, in lambda_row, which producer and verifier both read.
+derived once too, in lambda_row, and so is what a group document records,
+in group_report: producer and verifier both call them.
 Two independent routes to the maximal-abelian-subgroup order are
 provided.  The structural one proves attainment by a closed form (the
 span {(x, 0, z)} is abelian of order p^(n+1), checked on its generators
@@ -187,6 +188,32 @@ def brute_force_lambda(n: int, p: int) -> tuple[int, Fraction]:
     if order != 1:
         raise RuntimeError(f"maximal abelian order {best} is not a power of p={p}")
     return best, Fraction(exponent, 2 * n + 1)
+
+
+class GroupReport(NamedTuple):
+    """What a group document records of the group on (n, p), besides n, p and the mode."""
+
+    order: int
+    max_abelian_order: int
+    max_abelian_exponent: int
+    lam: Fraction
+    #: Whether the brute-force exponent equals the structural one; None in structural mode.
+    modes_agree: bool | None
+
+
+def group_report(n: int, p: int, mode: str) -> GroupReport:
+    """The group's order and largest abelian order, by the structural bound or also by brute force.
+
+    The producer and the verifier both call it, and a group document is the
+    encoding of its result.  Brute mode raises BudgetExceeded as
+    brute_force_lambda does.
+    """
+    structural = max_abelian_exponent(n, p)
+    if mode == "brute":
+        max_order, lam = brute_force_lambda(n, p)
+        exponent = int(lam * (2 * n + 1))
+        return GroupReport(group_order(n, p), max_order, exponent, lam, exponent == structural)
+    return GroupReport(group_order(n, p), p**structural, structural, Fraction(structural, 2 * n + 1), None)
 
 
 def max_abelian_exponent(n: int, p: int, isotropic_budget: int = DEFAULT_SUBSPACE_BUDGET) -> int:

@@ -286,18 +286,6 @@ class ConstructionCertificate(NamedTuple):
     notes: list[str]
 
 
-def _fits_document(p: int, e: int) -> bool:
-    """p**e (p >= 2) has at most certdoc.MAX_INT_DIGITS digits.
-
-    p**e has at least e * (bit_length(p) - 1) bits, so an exponent too large
-    for the limit is refused before the power is taken.
-    """
-    limit = certdoc.DECIMAL_LIMIT
-    if e * (p.bit_length() - 1) >= limit.bit_length():
-        return False
-    return p**e < limit
-
-
 def certify(n: int, r: int, p: int, lift: str = "nonneg") -> ConstructionCertificate:
     """Run the full pipeline once and assemble a certificate; raises on any failure.
 
@@ -320,7 +308,7 @@ def certify(n: int, r: int, p: int, lift: str = "nonneg") -> ConstructionCertifi
     if p <= M:
         raise PreconditionError(f"need p > M(n) = {M}, got p = {p}")
     row = lambda_row(n, r)
-    if not _fits_document(p, row.order_exponent):
+    if not certdoc.fits_document(p, row.order_exponent):
         raise PreconditionError(
             f"the group order p^{row.order_exponent} has more than {certdoc.MAX_INT_DIGITS} digits"
         )

@@ -1,15 +1,24 @@
-"""Independent re-checking of stored certificate documents.
+"""Re-checking of stored certificate documents, by one of two rules.
 
-The verifier trusts nothing but the raw integers in the document.  It
-never calls the producing solver, and re-derives on its own the
-symmetrization table, by counting the block splittings in the subset
-product prod_{|S|=k} (1 + eps_k k!(n-k)! y_S) of the subring y_i = u_i v_i
-(the producer reads the same table from its closed form instead), M by
-the divisibility recursion m_chain on that table (the producer takes M's
-proved closed form instead), the line product by multiplying out the
-lifts (the producer reads it off the symmetric functions), the Chern
-product by the logarithm (its own table's shape
-atilde_{k,j} = atilde_{k,1}^j / j! and, at each k,
+Where a document claims no independence from its producer, the verifier
+rebuilds the payload with the same derivation and the same certdoc builder
+the producer uses, and compares the two in canonical JSON: 1 is not true,
+"1" is not 1, and a dropped, added or re-encoded field fails as a wrong
+value does.  That covers group reports (groups.group_report), bound tables
+(groups.lambda_row and epsilon_witness), the prime of a prime document (the
+walk solver.find_prime makes), and a construction's group block and its
+stored Chern product, the unit series.
+
+Everywhere else it checks by an independent route, trusting nothing but
+the raw integers in the document.  It never calls the producing solver,
+and re-derives on its own the symmetrization table, by counting the block
+splittings in the subset product prod_{|S|=k} (1 + eps_k k!(n-k)! y_S) of
+the subring y_i = u_i v_i (the producer reads the same table from its
+closed form instead), M by the divisibility recursion m_chain on that
+table (the producer takes M's proved closed form instead), the line
+product by multiplying out the lifts (the producer reads it off the
+symmetric functions), the Chern product by the logarithm (its own table's
+shape atilde_{k,j} = atilde_{k,1}^j / j! and, at each k,
 k delta_k p^(2k) atilde_{k,1} = (-M p)^k P_k), and the matrix congruences.
 
 It shares with the producer what a copy would not derive a second time:
@@ -18,8 +27,7 @@ It shares with the producer what a copy would not derive a second time:
 * the certificate's notes and tau note, exterior.construction_notes,
   which the stored fields must equal;
 * the bound rule, groups.lambda_row, which defines k and the exponents of
-  each (n, r); the stored fields are compared with its rows, and the
-  epsilon witness is read from the re-derived rows by epsilon_witness;
+  each (n, r);
 * the structural bound of the r = 1 group, groups.max_abelian_exponent;
 * the enumeration, symplectic.enumerate_isotropic and
   max_common_isotropic_dim, which it asks again about the stored forms.
@@ -34,13 +42,14 @@ A content digest binds each document.  Checks that would be expensive to
 re-run are skipped (and reported as not run) once the digest has already
 failed, since the document is rejected either way.  The digest is not a
 signature, though, so the size parameters of every document kind are
-bounded before any arithmetic depends on them (a construction's p too, by
-is_prime's deterministic range), a failure detail shows an
-integer past 4300 digits by its bit length, a stored power of p is
-compared by bit length before the power is computed, and the brute-force
-group oracle and the walk below a stored prime stop at the bounds their
-producers share.  A group or prime document's command must be the one its
-certificate's fields give, with no seed, so every field of it is checked.
+bounded before any arithmetic depends on them (a construction's p by
+is_prime's deterministic range, and its r by the group order a document
+can hold), no series arithmetic runs on lifts that fail roots, a failure
+detail shows an integer past 4300 digits by its bit length, and the
+brute-force group oracle and the prime walk stop at the bounds their
+producers share.  A group, prime or lambda-table document's command must
+be the one its certificate's fields give, with no seed, so every field of
+it is checked.
 """
 
 from __future__ import annotations
@@ -54,26 +63,27 @@ from .certdoc import (
     CITED_ASSUMPTIONS,
     CONSTRUCTION_CHECKS,
     DECIMAL_LIMIT,
+    MAX_INT_DIGITS,
     MAX_LAMBDA_TABLE_ROWS,
     NESTED_TOO_DEEPLY,
     ParseError,
     canonical_json,
     compute_digest,
+    construction_group_payload,
     decode_bool,
     decode_fraction,
     decode_int,
     decode_int_list,
     decode_matrix,
     document_digestable,
+    fits_document,
+    group_report_payload,
+    lambda_table_payload,
+    prime_payload,
+    unit_series_payload,
 )
 from .exterior import MAX_SYMMETRIZATION_N, construction_notes, symmetrization_coefficients
-from .groups import (
-    MAX_GROUP_N,
-    brute_force_lambda,
-    epsilon_witness,
-    lambda_row,
-    max_abelian_exponent,
-)
+from .groups import MAX_GROUP_N, epsilon_witness, group_report, lambda_row, max_abelian_exponent
 from .series import OmegaSeries, elementary_symmetric
 from .symplectic import (
     DEFAULT_SUBSPACE_BUDGET,
@@ -101,12 +111,6 @@ class VerificationReport(NamedTuple):
 
     def failures(self) -> list[CheckResult]:
         return [r for r in self.results if not r.passed]
-
-
-def decode_series(value: Any) -> OmegaSeries:
-    if not isinstance(value, dict) or "n" not in value or "coeffs" not in value:
-        raise ParseError("expected a truncated series object")
-    return OmegaSeries(decode_int(value["n"]), [decode_fraction(c) for c in value["coeffs"]])
 
 
 # -- local re-derivations (kept independent of the solver module) -----------
@@ -142,17 +146,6 @@ def m_chain(n: int, table: dict[tuple[int, int], Fraction]) -> tuple[int, ...]:
     return tuple(chain[1:])
 
 
-def _is_power(value: int, p: int, e: int) -> bool:
-    """value == p**e, computing the power only when its size is bounded by value's.
-
-    For |p| >= 2 the power has more than e bits, so an exponent above the
-    bit length of value cannot match and is rejected before any work.
-    """
-    if e < 0 or (abs(p) >= 2 and e > value.bit_length()):
-        return False
-    return value == p**e
-
-
 # -- the dispatcher -----------------------------------------------------------
 
 
@@ -179,7 +172,7 @@ def verify_document(
         elif kind == "olshanskii":
             _verify_olshanskii(doc["certificate"], digest_ok, budget, results)
         elif kind == "lambda_table":
-            _verify_lambda_table(doc["certificate"], results)
+            _verify_lambda_table(doc, results)
         elif kind == "prime":
             _verify_prime(doc["certificate"], results)
             results.append(_verify_command(doc, "find-prime", ("n", "h", "min")))
@@ -222,11 +215,42 @@ def _skipped(name: str) -> CheckResult:
     return CheckResult(name, False, "not run: document already failed integrity")
 
 
-def _verify_command(doc: dict, name: str, keys: tuple[str, ...]) -> CheckResult:
-    """The command is ``name`` with the certificate's ``keys`` as params, compared in canonical JSON (1 is not true)."""
-    expected = {"name": name, "params": {key: doc["certificate"][key] for key in keys}}
-    ok = "seed" in doc and doc["seed"] is None and canonical_json(doc["command"]) == canonical_json(expected)
-    return _check("command", ok, "command must be {} with params {} from the certificate, and seed null", name, keys)
+def _same(name: str, stored: dict, expected: dict, where: str) -> CheckResult:
+    """A check that stored equals expected in canonical JSON, so 1 is not true and "1" is not 1.
+
+    The two are compared once; only a failure looks for the first key that
+    differs, and within rows for the first row.
+    """
+    if canonical_json(stored) == canonical_json(expected):
+        return CheckResult(name, True)
+    key = next(
+        key for key in sorted(stored.keys() | expected.keys())
+        if key not in stored or key not in expected or canonical_json(stored[key]) != canonical_json(expected[key])
+    )
+    where, a, b = f"{where}.{key}", stored.get(key), expected.get(key)
+    if key not in stored or key not in expected:
+        return CheckResult(name, False, f"{where} is " + ("missing" if key in expected else "not a rebuilt field"))
+    if key == "rows" and isinstance(a, list):
+        i = next((i for i, pair in enumerate(zip(a, b)) if canonical_json(pair[0]) != canonical_json(pair[1])), None)
+        if i is not None:
+            return CheckResult(name, False, f"{where}[{i}] differs from the rebuilt row")
+    return CheckResult(name, False, f"{where} is {_shown(a)}, rebuilt {_shown(b)}")
+
+
+def _shown(value: Any) -> str:
+    """A stored JSON value for a failure detail: an integer as _show gives it, else its JSON, cut short."""
+    try:
+        return _show(decode_int(value))
+    except ParseError:
+        text = canonical_json(value)
+        return text if len(text) <= 60 else text[:57] + "..."
+
+
+def _verify_command(doc: dict, name: str, keys: tuple[str, ...], **derived: Any) -> CheckResult:
+    """The command is ``name`` with the certificate's ``keys`` (and ``derived``) as params, and the seed null."""
+    params = {key: doc["certificate"][key] for key in keys} | derived
+    stored = {key: doc[key] for key in ("command", "seed") if key in doc}
+    return _same("command", stored, {"command": {"name": name, "params": params}, "seed": None}, "document")
 
 
 # -- construction certificates -------------------------------------------------
@@ -243,14 +267,22 @@ def _verify_construction(cert: dict, digest_ok: bool, out: list[CheckResult]) ->
     n = decode_int(cert["n"])
     r = decode_int(cert["r"])
     p = decode_int(cert["p"])
-    # Every series check does arithmetic in p; certify cannot reach a p past is_prime's range.
-    params_ok = 1 <= n <= MAX_SYMMETRIZATION_N and r >= 1 and 3 <= p < primes.DETERMINISTIC_LIMIT and p % 2 == 1
+    # Every series check does arithmetic in p; certify cannot reach a p past is_prime's range,
+    # nor a group order p^(2n+r) that a document cannot hold.
+    params_ok = (
+        1 <= n <= MAX_SYMMETRIZATION_N
+        and r >= 1
+        and 3 <= p < primes.DETERMINISTIC_LIMIT
+        and p % 2 == 1
+        and fits_document(p, 2 * n + r)
+    )
     out.append(
         _check(
             "params",
             params_ok,
-            "bad parameters n={}, r={}, p={} (need 1 <= n <= {}, r >= 1 and an odd p with 3 <= p < {})",
-            n, r, p, MAX_SYMMETRIZATION_N, primes.DETERMINISTIC_LIMIT,
+            "bad parameters n={}, r={}, p={} (need 1 <= n <= {}, r >= 1, an odd p with 3 <= p < {} "
+            "and a group order p^(2n+r) of at most {} digits)",
+            n, r, p, MAX_SYMMETRIZATION_N, primes.DETERMINISTIC_LIMIT, MAX_INT_DIGITS,
         )
     )
     if not params_ok:
@@ -261,6 +293,13 @@ def _verify_construction(cert: dict, digest_ok: bool, out: list[CheckResult]) ->
     s = decode_int_list(cert["s"])
     b = decode_int_list(cert["b"])
     delta = decode_int_list(cert["delta"])
+    # The stored fractions and flags compared below in canonical JSON are decoded first, so
+    # a zero denominator or a flag that is not a JSON boolean stays a parse error.
+    for coeff in cert["chern_product"]["coeffs"]:
+        decode_fraction(coeff)
+    group = cert["group"]
+    decode_fraction(group["lambda"])
+    decode_bool(group["abelian_bound_conditional"])
     q = p**n
 
     prime_ok = primes.is_odd_prime(p) and p % (n + 1) == 1
@@ -300,10 +339,14 @@ def _verify_construction(cert: dict, digest_ok: bool, out: list[CheckResult]) ->
     )
     out.append(_check("roots", roots_ok, "root family fails its identities or its lift range"))
 
+    series_checks = ("sigma_divisibility", "b_series", "chern_product")
     lengths = [len(lifts), len(residues), len(s), len(b), len(delta)]
     if lengths != [n + 1, n + 1, n, n, n]:
         detail = f"lifts, residues, s, b, delta have lengths {lengths}; n={n} fixes [n+1, n+1, n, n, n]"
-        out.extend(CheckResult(name, False, detail) for name in ("sigma_divisibility", "b_series", "chern_product"))
+        out.extend(CheckResult(name, False, detail) for name in series_checks)
+    elif not roots_ok:
+        # Only roots bounds each lift by its window of q, so no series arithmetic runs without it.
+        out.extend(CheckResult(name, False, "not run: roots failed") for name in series_checks)
     else:
         sigma = elementary_symmetric(lifts)[:n]
         out.append(
@@ -334,13 +377,13 @@ def _verify_construction(cert: dict, digest_ok: bool, out: list[CheckResult]) ->
             if k * delta[k - 1] * p ** (2 * k) * fresh_table[(k, 1)]
             != (-fresh_m * p) ** k * sum(a**k for a in lifts)
         ]
-        stored_product = decode_series(cert["chern_product"])
+        stored_one = canonical_json(cert["chern_product"]) == canonical_json(unit_series_payload(n))
         out.append(
             _check(
                 "chern_product",
-                exponential and not unbalanced and stored_product == OmegaSeries.one(n),
-                "log identity fails at k in {}, table exponential: {}; stored product {} at n={}",
-                unbalanced, exponential, stored_product.coeffs, stored_product.n,
+                exponential and not unbalanced and stored_one,
+                "log identity fails at k in {}, table exponential: {}; stored product is the unit series: {}",
+                unbalanced, exponential, stored_one,
             )
         )
 
@@ -358,17 +401,8 @@ def _verify_construction(cert: dict, digest_ok: bool, out: list[CheckResult]) ->
         )
     )
 
-    group = cert["group"]
     row = lambda_row(n, r)
-    conditional = decode_bool(group["abelian_bound_conditional"])
-    group_ok = (
-        decode_int(group["order_exponent"]) == row.order_exponent
-        and _is_power(decode_int(group["order"]), p, row.order_exponent)
-        and decode_int(group["abelian_exponent"]) == row.abelian_exponent
-        and conditional == (row.k is not None)
-        and decode_fraction(group["lambda"]) == row.bound
-    )
-    out.append(_check("group_bounds", group_ok, "group bound arithmetic does not re-derive"))
+    out.append(_same("group_bounds", group, construction_group_payload(p, row), "certificate.group"))
 
     if r == 1:
         if digest_ok:
@@ -404,67 +438,34 @@ def _verify_construction(cert: dict, digest_ok: bool, out: list[CheckResult]) ->
 
 
 def _verify_group(cert: dict, digest_ok: bool, out: list[CheckResult]) -> None:
+    """Rebuild the report from n, p and the mode with group_report, and compare it with the certificate."""
     n = decode_int(cert["n"])
     p = decode_int(cert["p"])
-    params_ok = 1 <= n <= MAX_GROUP_N and primes.is_odd_prime(p)
+    mode = cert["mode"]
+    params_ok = 1 <= n <= MAX_GROUP_N and primes.is_odd_prime(p) and mode in ("structural", "brute")
     out.append(
         _check(
             "params",
             params_ok,
-            "bad parameters n={}, p={} (need 1 <= n <= {} and an odd prime p)",
+            "bad parameters n={}, p={} (need 1 <= n <= {}, an odd prime p and the mode structural or brute)",
             n, p, MAX_GROUP_N,
         )
     )
     if not params_ok:
         return
-    mode = cert["mode"]
-    order = decode_int(cert["order"])
-    stored_max = decode_int(cert["max_abelian_order"])
-    stored_exp = decode_int(cert["max_abelian_exponent"])
-    lam = decode_fraction(cert["lambda"])
-
-    out.append(_check("mode", mode in ("structural", "brute"), "unknown mode {!r}", mode))
-    out.append(
-        _check(
-            "order",
-            _is_power(order, p, 2 * n + 1) and decode_int(cert["order_exponent"]) == 2 * n + 1,
-            "group order fields disagree",
-        )
-    )
-    out.append(
-        _check(
-            "lambda_arithmetic",
-            _is_power(stored_max, p, stored_exp) and lam == Fraction(stored_exp, 2 * n + 1),
-            "lambda is not the stored exponent ratio",
-        )
-    )
-
+    decode_fraction(cert["lambda"])  # a zero denominator stays a parse error
     if not digest_ok:
-        out.append(_skipped("bound_recomputation"))
+        out.append(_skipped("payload"))
         return
-
     try:
-        structural = max_abelian_exponent(n, p)
-        if mode == "brute":
-            brute_order, brute_lambda = brute_force_lambda(n, p)
-            ok = (
-                brute_order == stored_max
-                and brute_lambda == lam
-                and structural == stored_exp
-                and cert.get("modes_agree") is True
-            )
-            out.append(_check("bound_recomputation", ok, "brute-force re-run disagrees"))
-        else:
-            out.append(
-                _check(
-                    "bound_recomputation",
-                    structural == stored_exp,
-                    "structural exponent {} != stored {}",
-                    structural, stored_exp,
-                )
-            )
+        report = group_report(n, p, mode)
     except BudgetExceeded as exc:
-        out.append(CheckResult("bound_recomputation", False, str(exc)))
+        out.append(CheckResult("payload", False, str(exc)))
+        return
+    if report.modes_agree is False:
+        out.append(CheckResult("payload", False, "the brute-force and structural exponents differ"))
+    else:
+        out.append(_same("payload", cert, group_report_payload(n, p, mode, report), "certificate"))
 
 
 # -- product-subgroup (form family) certificates ---------------------------------
@@ -583,93 +584,62 @@ def _verify_olshanskii(cert: dict, digest_ok: bool, budget: int, out: list[Check
 # -- bound tables and prime documents ---------------------------------------------
 
 
-def _verify_lambda_table(cert: dict, out: list[CheckResult]) -> None:
+def _verify_lambda_table(doc: dict, out: list[CheckResult]) -> None:
+    """Rebuild the table from max_n, max_r and epsilon with lambda_row, and compare it with the certificate."""
+    cert = doc["certificate"]
+    epsilon = decode_fraction(cert["epsilon"]) if "epsilon" in cert else None
     max_n = decode_int(cert["max_n"])
     max_r = decode_int(cert["max_r"])
-    rows = cert["rows"]
-    # The rows must be exactly the (n, r) grid, so every later division by r
-    # and every size below is bounded by the rows the document really holds.
-    pairs = {(decode_int(row["n"]), decode_int(row["r"])) for row in rows}
-    params_ok = (
-        max_n >= 1
-        and max_r >= 1
-        and max_n * max_r <= MAX_LAMBDA_TABLE_ROWS
-        and len(rows) == max_n * max_r
-        and len(pairs) == len(rows)
-        and all(1 <= n <= max_n and 1 <= r <= max_r for n, r in pairs)
-    )
+    params_ok = max_n >= 1 and max_r >= 1 and max_n * max_r <= MAX_LAMBDA_TABLE_ROWS
     out.append(
         _check(
             "params",
             params_ok,
-            "bad parameters max_n={}, max_r={} (need both >= 1, at most {} rows, and the {} rows "
-            "to be exactly the (n, r) grid 1..max_n x 1..max_r)",
-            max_n, max_r, MAX_LAMBDA_TABLE_ROWS, len(rows),
+            "bad parameters max_n={}, max_r={} (need both >= 1 and at most {} rows)",
+            max_n, max_r, MAX_LAMBDA_TABLE_ROWS,
         )
     )
-    if not params_ok:
-        return
-    # The rows are exactly the grid, so the re-derived rows are the whole table.
-    fresh = [lambda_row(decode_int(row["n"]), decode_int(row["r"])) for row in rows]
-    # Each stored row's fields after (n, r), in LambdaRow's order.
-    stored = [
-        (
-            row["k"] if row["k"] is None else decode_int(row["k"]),
-            decode_int(row["abelian_exponent"]),
-            decode_int(row["order_exponent"]),
-            decode_fraction(row["bound"]),
-            decode_bool(row["exponent_form_exact"]),
-        )
-        for row in rows
-    ]
-    wrong = next((row for row, fields in zip(fresh, stored) if fields != row[2:]), None)
-    detail = "" if wrong is None else f"row (n={wrong.n}, r={wrong.r}) does not re-derive"
-    out.append(CheckResult("rows", wrong is None, detail))
-
-    if "epsilon" in cert:
-        witness = epsilon_witness(fresh, decode_fraction(cert["epsilon"]))
-        stored_witness = cert["epsilon_witness"]
-        if stored_witness != "none in range":
-            stored_witness = {"n": decode_int(stored_witness["n"]), "r": decode_int(stored_witness["r"])}
-        expected = "none in range" if witness is None else {"n": witness.n, "r": witness.r}
-        out.append(
-            _check(
-                "epsilon_witness",
-                stored_witness == expected,
-                "stored epsilon witness does not re-derive",
-            )
-        )
+    if params_ok:
+        # A zero denominator or a flag that is not a JSON boolean stays a parse error.
+        for row in cert["rows"]:
+            decode_fraction(row["bound"])
+            decode_bool(row["exponent_form_exact"])
+        rows = [lambda_row(n, r) for n in range(1, max_n + 1) for r in range(1, max_r + 1)]
+        witness = epsilon_witness(rows, epsilon) if epsilon is not None else None
+        out.append(_same("payload", cert, lambda_table_payload(max_n, max_r, rows, epsilon, witness), "certificate"))
+    # lambda-table writes its --epsilon in lowest terms.
+    written = None if epsilon is None else str(epsilon)
+    out.append(_verify_command(doc, "lambda-table", ("max_n", "max_r"), epsilon=written))
 
 
 def _verify_prime(cert: dict, out: list[CheckResult]) -> None:
+    """M by m_chain on the verifier's own table; the prime by re-running the search's walk, then comparing."""
     n = decode_int(cert["n"])
-    if not 1 <= n <= MAX_SYMMETRIZATION_N:
-        out.append(_check("M", False, "n={} is outside 1..{}", n, MAX_SYMMETRIZATION_N))
+    params_ok = 1 <= n <= MAX_SYMMETRIZATION_N
+    out.append(_check("params", params_ok, "n={} is outside 1..{}", n, MAX_SYMMETRIZATION_N))
+    if not params_ok:
         return
     h = decode_int(cert["h"])
     min_p = decode_int(cert["min"])
-    p = decode_int(cert["prime"])
     M = decode_int(cert["M"])
-
     fresh_m = m_chain(n, _rederive_atilde(n))[0]
     out.append(_check("M", M == fresh_m, "stored M={}, recomputed {}", M, fresh_m))
 
-    qualifies = (
-        primes.is_odd_prime(p)
-        and p % (n + 1) == 1
-        and p > fresh_m
-        and p >= max(min_p, 3)
-        and h % p != 0
-    )
-    out.append(_check("prime_qualifies", qualifies, "{} fails a required condition", p))
-
-    # The search examines MAX_PRIME_CANDIDATES members of the progression, so a
-    # p past the last is not its answer, and the walk below p stops there too.
+    # The walk solver.find_prime makes: MAX_PRIME_CANDIDATES members of 1 mod (n+1) from max(min, M+1, 3),
+    # up to the first that qualifies.  find_prime refuses a walk that reaches is_prime's range
+    # before one qualifies, so the verifier refuses it there too, before testing that candidate.
     start = max(min_p, fresh_m + 1, 3)
     first = start + (1 - start) % (n + 1)
-    last = first + (n + 1) * (primes.MAX_PRIME_CANDIDATES - 1)
-    if p > last:
-        out.append(_check("prime_minimal", False, "{} is past {}, the last candidate the search examines", p, last))
-        return
-    smaller = next((c for c in range(first, p, n + 1) if c % 2 and primes.is_prime(c) and h % c != 0), None)
-    out.append(_check("prime_minimal", smaller is None, "{} qualifies and is smaller", smaller))
+    found = None
+    for c in range(first, first + (n + 1) * primes.MAX_PRIME_CANDIDATES, n + 1):
+        if c >= primes.DETERMINISTIC_LIMIT:
+            out.append(_check("payload", False, "the walk reaches {}, past is_prime's range", c))
+            return
+        if c % 2 and primes.is_prime(c) and h % c != 0:
+            found = c
+            break
+    if found is None:
+        detail = f"no prime qualifies among the {primes.MAX_PRIME_CANDIDATES} candidates the search examines"
+        out.append(CheckResult("payload", False, detail))
+    else:
+        out.append(_same("payload", cert, prime_payload(n, h, min_p, found, fresh_m), "certificate"))

@@ -18,7 +18,7 @@ from exterior_oracle import omega
 from group_oracle import enumerate_group, gen_f
 from pgroupcert import certdoc
 from pgroupcert.exterior import omega_power_table
-from pgroupcert.groups import brute_force_lambda, max_abelian_exponent
+from pgroupcert.groups import brute_force_lambda, group_report, max_abelian_exponent
 from pgroupcert.products import olshanskii_search, product_subgroup_bound
 from pgroupcert.series import OmegaSeries
 from pgroupcert.solver import certify, compute_M, elementary_symmetric, find_prime, rank_formula
@@ -213,18 +213,12 @@ def all_documents(chern_certificates, olshanskii_specs):
             )
         )
     for n, p, mode in [(1, 3, "brute"), (1, 5, "brute"), (2, 3, "structural")]:
-        structural = max_abelian_exponent(n, p)
-        if mode == "brute":
-            max_order, lam = brute_force_lambda(n, p)
-            agree = max_order == p**structural
-        else:
-            max_order, lam, agree = p**structural, F(structural, 2 * n + 1), None
         docs.append(
             certdoc.build_document(
                 "group",
                 "group",
                 {"n": n, "p": p, "mode": mode},
-                certdoc.group_report_payload(n, p, mode, p ** (2 * n + 1), max_order, structural, lam, agree),
+                certdoc.group_report_payload(n, p, mode, group_report(n, p, mode)),
             )
         )
     for key in ("vacuous", "heavy"):

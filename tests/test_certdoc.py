@@ -11,10 +11,9 @@ from cli_documents import KIND_COMMANDS, document_text
 from pgroupcert import certdoc
 from pgroupcert.cli import main
 from pgroupcert.products import olshanskii_search, product_subgroup_bound
-from pgroupcert.series import OmegaSeries
 from pgroupcert.solver import certify
 from pgroupcert.symplectic import DEFAULT_SUBSPACE_BUDGET
-from pgroupcert.verify import decode_series, verify_document
+from pgroupcert.verify import verify_document
 
 
 def test_int_encoding_small_and_big():
@@ -74,13 +73,6 @@ def test_fraction_round_trip():
     for value in (Fraction(2, 3), Fraction(-355348, 1), Fraction(10**20, 3)):
         assert certdoc.decode_fraction(certdoc.encode_fraction(value)) == value
     assert certdoc.encode_fraction(Fraction(1, 2)) == {"num": "1", "den": "2"}
-
-
-def test_series_round_trip():
-    s = OmegaSeries(3, (1, Fraction(-2, 3), 0, 10**20))
-    assert decode_series({"n": 3, "coeffs": [certdoc.encode_fraction(c) for c in s.coeffs]}) == s
-    stored = certdoc.construction_payload(certify(2, 1, 7))["chern_product"]
-    assert decode_series(stored) == OmegaSeries.one(2)
 
 
 def test_no_floats_anywhere_in_documents():

@@ -298,7 +298,7 @@ def test_verify_reports_a_lambda_table_with_a_zero_r_row(runner, tmp_path):
     # It used to raise ZeroDivisionError out of the verifier; the runner lets it propagate.
     result = runner.invoke(main, ["verify", str(out)])
     assert result.exit_code == 1
-    assert "FAIL lambda_table:params" in result.output
+    assert "FAIL lambda_table:payload" in result.output
 
 
 def test_verify_reports_a_zero_denominator_as_a_parse_error(runner, tmp_path):

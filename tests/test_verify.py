@@ -12,14 +12,7 @@ import pytest
 import chern_oracle
 from pgroupcert import certdoc, primes, products, symplectic, verify
 from pgroupcert.exterior import MAX_SYMMETRIZATION_N, atilde_table
-from pgroupcert.groups import (
-    BRUTE_WORK_BUDGET,
-    MAX_GROUP_N,
-    brute_force_lambda,
-    epsilon_witness,
-    group_order,
-    max_abelian_exponent,
-)
+from pgroupcert.groups import BRUTE_WORK_BUDGET, MAX_GROUP_N, epsilon_witness, group_report
 from pgroupcert.products import ProductSubgroupSpec, identity_matrix, olshanskii_search, product_subgroup_bound
 from pgroupcert.solver import certify, compute_M, find_prime, lambda_table
 from pgroupcert.symplectic import (
@@ -43,18 +36,8 @@ def construction_doc(n, r, p, lift="nonneg"):
 
 
 def group_doc(n, p, mode="brute"):
-    structural = max_abelian_exponent(n, p)
-    if mode == "brute":
-        max_order, lam = brute_force_lambda(n, p)
-        agree = max_order == p**structural
-    else:
-        max_order, lam = p**structural, Fraction(structural, 2 * n + 1)
-        agree = None
     return certdoc.build_document(
-        "group",
-        "group",
-        {"n": n, "p": p, "mode": mode},
-        certdoc.group_report_payload(n, p, mode, group_order(n, p), max_order, structural, lam, agree),
+        "group", "group", {"n": n, "p": p, "mode": mode}, certdoc.group_report_payload(n, p, mode, group_report(n, p, mode))
     )
 
 
@@ -108,7 +91,7 @@ def lambda_table_doc(max_n, max_r):
     return certdoc.build_document(
         "lambda_table",
         "lambda-table",
-        {"max_n": max_n, "max_r": max_r},
+        {"max_n": max_n, "max_r": max_r, "epsilon": "2/3"},
         certdoc.lambda_table_payload(max_n, max_r, rows, eps, epsilon_witness(rows, eps)),
     )
 
@@ -136,6 +119,30 @@ def _prime_doc_with(h, p, n=2, min_p=1):
     return reserialize(certdoc.build_document("prime", "find-prime", params, certificate))
 
 
+def test_a_prime_found_just_below_the_primality_limit_verifies():
+    # The search stops at its first qualifying prime, long before its last candidate passes the limit.
+    min_p = primes.DETERMINISTIC_LIMIT - 10**4
+    report = verify_document(_prime_doc_with(1, find_prime(2, min_p=min_p), min_p=min_p))
+    assert report.ok, report.failures()
+
+
+@pytest.mark.parametrize(
+    "min_p", [primes.DETERMINISTIC_LIMIT - 10**4, 2**524_000], ids=["just-below-the-limit", "524001-bit"]
+)
+def test_a_walk_that_reaches_the_primality_limit_is_refused_before_testing_past_it(monkeypatch, min_p):
+    # No candidate below the limit qualifies here, so the walk reaches it, where find_prime would refuse.
+    doc = _prime_doc_with(7, primes.DETERMINISTIC_LIMIT + 4, min_p=min_p)
+
+    def no_prime_below_the_limit(c):
+        assert c < primes.DETERMINISTIC_LIMIT, f"{c} was tested"
+        return False
+
+    monkeypatch.setattr(primes, "is_prime", no_prime_below_the_limit)
+    failed = {result.name: result.detail for result in verify_document(doc).failures()}
+    assert list(failed) == ["payload"]
+    assert "past is_prime's range" in failed["payload"]
+
+
 def test_a_prime_past_the_candidates_the_search_examines_fails_minimality():
     # At n = 2 the candidates are 4, 7, 10, ...; h divides out every prime among
     # the first MAX_PRIME_CANDIDATES, so the least qualifying prime lies past them.
@@ -147,9 +154,8 @@ def test_a_prime_past_the_candidates_the_search_examines_fails_minimality():
     report = verify_document(_prime_doc_with(h, beyond))
     assert time.perf_counter() - start < 1.0
     failed = {result.name: result.detail for result in report.failures()}
-    assert list(failed) == ["prime_minimal"]
-    last = examined[-1]
-    assert failed["prime_minimal"] == f"{beyond} is past {last}, the last candidate the search examines"
+    assert list(failed) == ["payload"]
+    assert failed["payload"] == f"no prime qualifies among the {primes.MAX_PRIME_CANDIDATES} candidates the search examines"
     # The last candidate the search examines is still its answer when h spares it.
     report = verify_document(_prime_doc_with(h // qualifying[-1], qualifying[-1]))
     assert report.ok, report.failures()
@@ -161,12 +167,13 @@ def test_a_prime_past_the_candidates_the_search_examines_fails_minimality():
     ids=["group budget", "prime ceiling"],
 )
 def test_a_document_that_records_a_retired_bound_fails_its_command_check(make_doc, field, value):
-    # Written as documents of these kinds once were: the bound in params and in the certificate.
+    # Written as documents of these kinds once were: the bound in params and in the certificate,
+    # which is then not the payload the verifier rebuilds.
     doc = json.loads(json.dumps(make_doc()))
     assert verify_document(doc).ok
     doc["command"]["params"][field] = doc["certificate"][field] = value
     report = verify_document(fix_digest(doc))
-    assert [result.name for result in report.failures()] == ["command"]
+    assert [result.name for result in report.failures()] == ["payload", "command"]
 
 
 # -- rejection of dishonest documents -----------------------------------------------
@@ -248,6 +255,15 @@ def test_matrix_mutation_fails_congruence_or_digest():
     assert not report.ok
 
 
+def assert_roots_alone_failed(report):
+    """roots failed, and the series checks, which need its window on every lift, did not run."""
+    assert report.results[0].passed
+    assert [(result.name, result.detail) for result in report.failures()][1:] == [
+        (name, "not run: roots failed") for name in ("sigma_divisibility", "b_series", "chern_product")
+    ]
+    assert report.failures()[0].name == "roots"
+
+
 def test_residue_mutation_fails_roots():
     doc = construction_doc(2, 1, 7)
     bad = fix_digest(mutate(doc, ["residues", 1], 1))
@@ -262,9 +278,7 @@ def test_a_residue_stored_unreduced_fails_roots():
     # that a stored residue be reduced, 0 <= alpha < q, tells it apart.
     doc = construction_doc(2, 1, 7)
     bad = fix_digest(mutate(doc, ["residues", 1], 49))
-    report = verify_document(bad)
-    assert report.results[0].passed
-    assert [result.name for result in report.failures()] == ["roots"]
+    assert_roots_alone_failed(verify_document(bad))
 
 
 def test_roots_of_unity_modulo_a_composite_fail_roots_as_well_as_prime():
@@ -327,10 +341,45 @@ def test_a_construction_with_a_thousand_lifts_is_rejected_at_once():
         assert "[1000, 3, 2, 2, 2]" in failed[name]
 
 
+def test_lifts_at_the_decoders_limit_fail_roots_at_once():
+    # Outside their window the lifts drive no series arithmetic: with 16,000 hex
+    # digits each, the series checks alone took more than a second at n = 10.
+    doc = json.loads(json.dumps(construction_doc(10, 1, 363067)))
+    doc["certificate"]["a"] = ["0x" + "f" * certdoc.MAX_HEX_DIGITS] * 11
+    doc = fix_digest(doc)
+    start = time.perf_counter()
+    report = verify_document(doc)
+    assert time.perf_counter() - start < 1.0
+    assert report.results[0].passed
+    failed = {result.name: result.detail for result in report.failures()}
+    # The lift note is true of no convention's window either.
+    assert list(failed) == ["roots", "sigma_divisibility", "b_series", "chern_product", "notes"]
+    for name in ("sigma_divisibility", "b_series", "chern_product"):
+        assert failed[name] == "not run: roots failed"
+
+
 def test_stored_chern_product_must_be_the_unit_series_at_n():
     # A unit series of the wrong length used to pass: only is_one() was asked of it.
     doc = construction_doc(2, 1, 13)
     doc["certificate"]["chern_product"] = {"n": 0, "coeffs": [{"num": "1", "den": "1"}]}
+    report = verify_document(fix_digest(doc))
+    assert report.results[0].passed
+    assert [result.name for result in report.failures()] == ["chern_product"]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda product: product["coeffs"][1].update(den="2"),
+        lambda product: product["coeffs"][0].update(num="2", den="2"),
+        lambda product: product.update(n="2"),
+    ],
+    ids=["0/2", "2/2", "n-as-a-string"],
+)
+def test_a_chern_product_that_decodes_to_one_must_be_written_as_certdoc_writes_it(edit):
+    # Each of these decoded to the unit series and verified: one content had many digests.
+    doc = json.loads(json.dumps(construction_doc(2, 1, 13)))
+    edit(doc["certificate"]["chern_product"])
     report = verify_document(fix_digest(doc))
     assert report.results[0].passed
     assert [result.name for result in report.failures()] == ["chern_product"]
@@ -346,9 +395,7 @@ def test_lifts_must_lie_in_the_range_of_their_stated_convention(lift, convention
     doc = construction_doc(2, 1, 13, lift=lift)
     assert verify_document(doc).ok
     doc["certificate"]["lift_convention"] = convention
-    report = verify_document(fix_digest(doc))
-    assert report.results[0].passed
-    assert [result.name for result in report.failures()] == ["roots"]
+    assert_roots_alone_failed(verify_document(fix_digest(doc)))
 
 
 def test_a_lift_just_outside_the_symmetric_range_fails_roots():
@@ -499,8 +546,8 @@ def test_construction_r_is_bounded(r):
     report = verify_document(fix_digest(doc))
     assert time.perf_counter() - start < 1.0
     assert report.results[0].name == "document_digest" and report.results[0].passed
-    failed = {result.name for result in report.failures()}
-    assert failed == ({"group_bounds"} if r > 1 else {"params"})
+    # r is bounded with the group order p^(2n+r) a document can hold
+    assert {result.name for result in report.failures()} == {"params"}
 
 
 def test_group_stored_exponent_is_bounded():
@@ -509,7 +556,7 @@ def test_group_stored_exponent_is_bounded():
     start = time.perf_counter()
     report = verify_document(fix_digest(doc))
     assert time.perf_counter() - start < 1.0
-    assert "lambda_arithmetic" in {result.name for result in report.failures()}
+    assert "payload" in {result.name for result in report.failures()}
 
 
 @pytest.mark.parametrize(
@@ -520,7 +567,7 @@ def test_group_params_are_rejected_before_any_arithmetic(monkeypatch, n, p):
     def refuse(*args, **kwargs):
         raise AssertionError("bound recomputed for out-of-range parameters")
 
-    monkeypatch.setattr(verify, "max_abelian_exponent", refuse)
+    monkeypatch.setattr(verify, "group_report", refuse)
     doc = group_doc(1, 3, mode="structural")
     for fields in (doc["certificate"], doc["command"]["params"]):
         fields.update(n=n, p=p)
@@ -633,7 +680,7 @@ def test_brute_group_report_runs_under_the_verifiers_budget():
     report = verify_document(fix_digest(doc))
     assert time.perf_counter() - start < 1.0
     failed = {result.name: result.detail for result in report.failures()}
-    assert failed["bound_recomputation"] == str(BudgetExceeded(101**6, BRUTE_WORK_BUDGET, what="group-law calls"))
+    assert failed["payload"] == str(BudgetExceeded(101**6, BRUTE_WORK_BUDGET, what="group-law calls"))
 
 
 def test_abelian_bound_runs_in_full_under_any_budget():
@@ -784,10 +831,10 @@ def test_checks_computed_before_a_malformed_field_are_kept():
         (lambda: construction_doc(2, 1, 7), "n", "params"),
         (lambda: construction_doc(2, 1, 7), "M", "M"),
         (lambda: group_doc(1, 3, mode="structural"), "n", "params"),
-        (lambda: group_doc(1, 3, mode="structural"), "max_abelian_exponent", "bound_recomputation"),
+        (lambda: group_doc(1, 3, mode="structural"), "max_abelian_exponent", "payload"),
         (lambda: lambda_table_doc(3, 2), "max_n", "params"),
-        (lambda: prime_doc(2), "n", "M"),
-        (lambda: prime_doc(2), "prime", "prime_qualifies"),
+        (lambda: prime_doc(2), "n", "params"),
+        (lambda: prime_doc(2), "prime", "payload"),
     ],
     ids=[
         "olshanskii-r", "construction-n", "construction-M", "group-n", "group-max_abelian_exponent",
@@ -832,17 +879,24 @@ def test_construction_p_past_the_primality_range_is_rejected_by_params_at_once(p
     assert elapsed < 1.0
 
 
+# Each edit returns the checks it fails: max_n is a param of the command too, and
+# the rows are compared with the rest of the rebuilt payload.
+
+
 def _set_row_r(doc, r):
     doc["certificate"]["rows"][1]["r"] = r
+    return ["payload"]
 
 
 def _set_max_n(doc, max_n):
     doc["certificate"]["max_n"] = max_n
+    return ["params", "command"]
 
 
 def _duplicate_row(doc):
     rows = doc["certificate"]["rows"]
     rows[1] = dict(rows[0])
+    return ["payload"]
 
 
 @pytest.mark.parametrize(
@@ -857,12 +911,12 @@ def _duplicate_row(doc):
 )
 def test_lambda_table_params_are_checked_before_any_arithmetic(edit):
     doc = json.loads(json.dumps(lambda_table_doc(3, 2)))
-    edit(doc)
+    expected = edit(doc)
     start = time.perf_counter()
     report = verify_document(fix_digest(doc))
     assert time.perf_counter() - start < 1.0
     assert report.results[0].passed
-    assert [result.name for result in report.failures()] == ["params"]
+    assert [result.name for result in report.failures()] == expected
 
 
 def test_lambda_table_over_the_row_limit_fails_params():
@@ -871,7 +925,7 @@ def test_lambda_table_over_the_row_limit_fails_params():
     doc = certdoc.build_document(
         "lambda_table",
         "lambda-table",
-        {"max_n": 101, "max_r": 100},
+        {"max_n": 101, "max_r": 100, "epsilon": None},
         certdoc.lambda_table_payload(101, 100, rows, None, None),
     )
     report = verify_document(reserialize(doc))
@@ -897,8 +951,8 @@ def test_brute_group_report_is_bounded_by_its_squared_order():
     report = verify_document(fix_digest(doc))
     assert time.perf_counter() - start < 1.0
     failed = {result.name: result.detail for result in report.failures()}
-    assert list(failed) == ["bound_recomputation"]
-    assert failed["bound_recomputation"] == str(
+    assert list(failed) == ["payload"]
+    assert failed["payload"] == str(
         BudgetExceeded(13**6, BRUTE_WORK_BUDGET, what="group-law calls")
     )
 

@@ -7,8 +7,9 @@ refuse it.  Raw bytes, UTF-8 or not, are fuzzed too.  Every case must end
 in a VerificationReport or a ParseError, which the command line reports as
 exit 0 or 1 and as exit 2, within a time bound: never in another exception.
 Extreme values are tested by their rejection, so none is ever run.
-Group and prime documents are checked in every field, so there every
-deterministic single-field edit must also fail verification.
+Group, prime and lambda-table documents are checked in every field, so
+there every deterministic single-field edit must also fail verification;
+in a construction document only the declared unchecked fields may take one.
 """
 
 import contextlib
@@ -212,11 +213,20 @@ def _single_field_edits(text):
             yield path, "delete" if new is _DELETE else new, certdoc.serialize_document(doc)
 
 
-@pytest.mark.parametrize("kind", ["group", "prime"])
+#: The top-level fields of a document kind that no check reads yet, with the reason.
+UNCHECKED_FIELDS = {
+    # perfbench/test_perfbench.py builds its construction document with params={} and
+    # requires it to verify, so a construction's command check waits for a benchmark change.
+    "construction": ("command", "seed"),
+}
+
+
+@pytest.mark.parametrize("kind", ["group", "prime", "lambda_table", "construction"])
 def test_every_single_field_edit_of_a_group_or_prime_document_fails(kind):
     text = document_text(kind)
     assert _verify_in_process(text) == 0
     edits = list(_single_field_edits(text))
     assert len(edits) > 100
     accepted = [(path, new) for path, new, edited in edits if _verify_in_process(edited) == 0]
-    assert accepted == []
+    unchecked = UNCHECKED_FIELDS.get(kind, ())
+    assert [(path, new) for path, new in accepted if path[0] not in unchecked] == []
