@@ -458,7 +458,7 @@ def _exact_bound_without_its_dimension(cert):
         (
             ["certify", "--n", "2", "--p", "7"],
             lambda cert: cert["atilde"].append(cert["atilde"][0]),
-            "construction:atilde_table",
+            "construction:payload",
         ),
     ],
     ids=["exact bound without its dimension", "repeated atilde entry"],
@@ -480,7 +480,7 @@ def test_verify_of_checks_that_are_not_an_object_fails_in_a_fresh_process(runner
     )
     assert result.returncode == 1, result.stderr
     assert "Traceback" not in result.stderr
-    assert "FAIL construction:well_formed  (malformed certificate: checks must be an object" in result.stdout
+    assert "FAIL construction:payload  (certificate.checks is [true], rebuilt {" in result.stdout
 
 
 def _assert_one_line_usage_error(result, message):

@@ -206,9 +206,7 @@ def test_stale_digest_is_rejected():
 def test_delta_mutation_fails_math_even_with_fixed_digest():
     doc = construction_doc(2, 1, 7)
     bad = fix_digest(mutate(doc, ["delta", 1], 1))
-    report = verify_document(bad)
-    assert not report.ok
-    assert any(r.name == "chern_product" for r in report.failures())
+    assert_payload_alone_failed(verify_document(bad), "delta")
 
 
 def test_lift_mutation_fails_roots_or_sigma():
@@ -222,9 +220,7 @@ def test_lift_mutation_fails_roots_or_sigma():
 def test_M_mutation_fails_recomputation():
     doc = construction_doc(1, 1, 3)
     bad = fix_digest(mutate(doc, ["M"], 1))
-    report = verify_document(bad)
-    assert not report.ok
-    assert any(r.name == "M" for r in report.failures())
+    assert_payload_alone_failed(verify_document(bad), "M")
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -233,8 +229,9 @@ def test_an_M_from_the_other_branch_of_the_closed_form_fails_M(n):
     # recursion, so a value the producer's formula would give for the wrong branch fails.
     doc = json.loads(json.dumps(construction_doc(n, 1, find_prime(n))))
     doc["certificate"]["M"] = 720
-    failed = {r.name: r.detail for r in verify_document(fix_digest(doc)).failures()}
-    assert failed["M"] == f"stored M=720, recomputed {compute_M(n)}"
+    report = verify_document(fix_digest(doc))
+    assert_payload_alone_failed(report, "M")
+    assert report.failures()[0].detail == f"certificate.M is 720, rebuilt {compute_M(n)}"
 
 
 def test_a_stored_M_of_half_a_million_bits_fails_M_alone_at_once():
@@ -245,7 +242,7 @@ def test_a_stored_M_of_half_a_million_bits_fails_M_alone_at_once():
     start = time.perf_counter()
     report = verify_document(fix_digest(doc))
     assert time.perf_counter() - start < 1.0
-    assert [r.name for r in report.failures()] == ["M"]
+    assert_payload_alone_failed(report, "M")
 
 
 def test_matrix_mutation_fails_congruence_or_digest():
@@ -256,12 +253,20 @@ def test_matrix_mutation_fails_congruence_or_digest():
 
 
 def assert_roots_alone_failed(report):
-    """roots failed, and the series checks, which need its window on every lift, did not run."""
+    """roots failed, and the checks on what the lifts derive, which need its window on every lift, did not run."""
     assert report.results[0].passed
     assert [(result.name, result.detail) for result in report.failures()][1:] == [
-        (name, "not run: roots failed") for name in ("sigma_divisibility", "b_series", "chern_product")
+        (name, "not run: roots failed") for name in ("sigma_divisibility", "b_series", "chern_product", "payload")
     ]
     assert report.failures()[0].name == "roots"
+
+
+def assert_payload_alone_failed(report, field):
+    """payload failed alone, and its detail names the stored field that is not the rebuilt one."""
+    assert report.results[0].passed
+    failed = {result.name: result.detail for result in report.failures()}
+    assert list(failed) == ["payload"]
+    assert failed["payload"].startswith(f"certificate.{field} "), failed["payload"]
 
 
 def test_residue_mutation_fails_roots():
@@ -295,23 +300,23 @@ def test_roots_of_unity_modulo_a_composite_fail_roots_as_well_as_prime():
 @pytest.mark.parametrize("sign", [1, -1], ids=["plus-one", "minus-one"])
 @pytest.mark.parametrize("n,k", [(n, k) for n in (4, 6) for k in range(1, n + 1)])
 def test_a_bumped_delta_fails_chern_product_alone(n, k, sign):
-    # The verifier decides chern_product by the logarithm identity at each k;
-    # the multiply-out oracle must see every such document as not one as well.
+    # The verifier derives each delta by the logarithm identity, so a stored delta
+    # that is not the derived one fails payload; the multiply-out oracle must see
+    # every such document's Chern product as not one as well.
     p = find_prime(n)
     doc = fix_digest(mutate(construction_doc(n, 1, p), ["delta", k - 1], sign))
     cert = doc["certificate"]
     lifts, delta = certdoc.decode_int_list(cert["a"]), certdoc.decode_int_list(cert["delta"])
     assert not chern_oracle.chern_product(n, p, compute_M(n), lifts, delta, atilde_table(n)).is_one()
-    report = verify_document(doc)
-    assert report.results[0].passed
-    assert [result.name for result in report.failures()] == ["chern_product"]
+    assert_payload_alone_failed(verify_document(doc), "delta")
 
 
 @pytest.mark.parametrize("edit", ["drop", "pad"])
 @pytest.mark.parametrize("field", ["a", "residues", "s", "b", "delta"])
 def test_a_list_whose_length_n_does_not_fix_fails_the_series_checks(field, edit):
     # A short b or delta used to raise IndexError out of verify, and a padded one
-    # verified: only the first n entries were read.
+    # verified: only the first n entries were read.  n + 1 roots are part of roots;
+    # s, b and delta are derived, and the stored lists must be the derived ones.
     doc = json.loads(json.dumps(construction_doc(2, 1, 7)))
     values = doc["certificate"][field]
     if edit == "drop":
@@ -319,10 +324,10 @@ def test_a_list_whose_length_n_does_not_fix_fails_the_series_checks(field, edit)
     else:
         values.append(0)
     report = verify_document(fix_digest(doc))
-    assert report.results[0].passed
-    failed = {result.name: result.detail for result in report.failures()}
-    for name in ("sigma_divisibility", "b_series", "chern_product"):
-        assert "have lengths" in failed[name]
+    if field in ("a", "residues"):
+        assert_roots_alone_failed(report)
+    else:
+        assert_payload_alone_failed(report, field)
 
 
 def test_a_construction_with_a_thousand_lifts_is_rejected_at_once():
@@ -334,11 +339,7 @@ def test_a_construction_with_a_thousand_lifts_is_rejected_at_once():
     start = time.perf_counter()
     report = verify_document(doc)
     assert time.perf_counter() - start < 1.0
-    assert report.results[0].passed
-    failed = {result.name: result.detail for result in report.failures()}
-    assert "roots" in failed
-    for name in ("sigma_divisibility", "b_series", "chern_product"):
-        assert "[1000, 3, 2, 2, 2]" in failed[name]
+    assert_roots_alone_failed(report)
 
 
 def test_lifts_at_the_decoders_limit_fail_roots_at_once():
@@ -350,21 +351,14 @@ def test_lifts_at_the_decoders_limit_fail_roots_at_once():
     start = time.perf_counter()
     report = verify_document(doc)
     assert time.perf_counter() - start < 1.0
-    assert report.results[0].passed
-    failed = {result.name: result.detail for result in report.failures()}
-    # The lift note is true of no convention's window either.
-    assert list(failed) == ["roots", "sigma_divisibility", "b_series", "chern_product", "notes"]
-    for name in ("sigma_divisibility", "b_series", "chern_product"):
-        assert failed[name] == "not run: roots failed"
+    assert_roots_alone_failed(report)
 
 
 def test_stored_chern_product_must_be_the_unit_series_at_n():
     # A unit series of the wrong length used to pass: only is_one() was asked of it.
     doc = construction_doc(2, 1, 13)
     doc["certificate"]["chern_product"] = {"n": 0, "coeffs": [{"num": "1", "den": "1"}]}
-    report = verify_document(fix_digest(doc))
-    assert report.results[0].passed
-    assert [result.name for result in report.failures()] == ["chern_product"]
+    assert_payload_alone_failed(verify_document(fix_digest(doc)), "chern_product")
 
 
 @pytest.mark.parametrize(
@@ -380,9 +374,7 @@ def test_a_chern_product_that_decodes_to_one_must_be_written_as_certdoc_writes_i
     # Each of these decoded to the unit series and verified: one content had many digests.
     doc = json.loads(json.dumps(construction_doc(2, 1, 13)))
     edit(doc["certificate"]["chern_product"])
-    report = verify_document(fix_digest(doc))
-    assert report.results[0].passed
-    assert [result.name for result in report.failures()] == ["chern_product"]
+    assert_payload_alone_failed(verify_document(fix_digest(doc)), "chern_product")
 
 
 @pytest.mark.parametrize(
@@ -414,29 +406,25 @@ def test_a_lift_just_outside_the_symmetric_range_fails_roots():
 def test_stored_assumptions_must_be_the_cited_ones(edit):
     doc = construction_doc(2, 1, 7)
     edit(doc["certificate"]["assumptions"])
-    report = verify_document(fix_digest(doc))
-    assert report.results[0].passed
-    assert [result.name for result in report.failures()] == ["assumptions"]
+    assert_payload_alone_failed(verify_document(fix_digest(doc)), "assumptions")
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "edit, field",
     [
-        lambda cert: cert.update(notes=["anything"]),
-        lambda cert: cert.update(tau_note="x"),
-        lambda cert: cert["notes"].pop(0),
-        lambda cert: cert["notes"].__setitem__(-1, "lifts are symmetric representatives in (-p^n/2, p^n/2)"),
+        (lambda cert: cert.update(notes=["anything"]), "notes"),
+        (lambda cert: cert.update(tau_note="x"), "tau_note"),
+        (lambda cert: cert["notes"].pop(0), "notes"),
+        (lambda cert: cert["notes"].__setitem__(-1, "lifts are symmetric representatives in (-p^n/2, p^n/2)"), "notes"),
     ],
     ids=["notes-replaced", "tau-note-replaced", "note-dropped", "lift-note-misstated"],
 )
-def test_stored_notes_must_be_the_ones_the_certificate_gives(edit):
+def test_stored_notes_must_be_the_ones_the_certificate_gives(edit, field):
     # notes and tau_note used to go unread, so any text verified.
     doc = construction_doc(2, 1, 13)
     assert doc["certificate"]["notes"][-1] == "lifts are least nonnegative representatives"
     edit(doc["certificate"])
-    report = verify_document(fix_digest(doc))
-    assert report.results[0].passed
-    assert [result.name for result in report.failures()] == ["notes"]
+    assert_payload_alone_failed(verify_document(fix_digest(doc)), field)
 
 
 @pytest.mark.parametrize(
@@ -448,9 +436,7 @@ def test_recorded_checks_must_name_exactly_the_established_identities(edit):
     # An empty checks object used to verify: only the recorded values were read.
     doc = construction_doc(2, 1, 13)
     edit(doc["certificate"]["checks"])
-    report = verify_document(fix_digest(doc))
-    assert report.results[0].passed
-    assert [result.name for result in report.failures()] == ["recorded_checks"]
+    assert_payload_alone_failed(verify_document(fix_digest(doc)), "checks")
 
 
 @pytest.mark.parametrize(
@@ -488,22 +474,49 @@ def test_chern_product_needs_the_exponential_shape_of_the_verifiers_table(monkey
     monkeypatch.setattr(verify, "m_chain", lambda n, table: real_chain(n, real_table(n)))
     report = verify_document(construction_doc(2, 1, 7))
     failed = {result.name: result.detail for result in report.failures()}
-    assert list(failed) == ["atilde_table", "chern_product"]
+    assert list(failed) == ["chern_product", "payload"]
     assert "table exponential: False" in failed["chern_product"]
+    assert failed["payload"].startswith("certificate.atilde ")
 
 
 def test_atilde_mutation_fails_the_table_check():
-    # The verifier derives M and decides the Chern product from its own table, so
-    # the stored table is caught by atilde_table alone.
+    # The verifier derives M and every delta from its own table, so the stored
+    # table is caught by the payload comparison alone.
     doc = json.loads(json.dumps(construction_doc(2, 1, 7)))
     entry = doc["certificate"]["atilde"][1]
     assert (entry["k"], entry["j"]) == (1, 2)
     entry["value"]["num"] = str(int(entry["value"]["num"]) + 1)
-    report = verify_document(fix_digest(doc))
-    assert report.results[0].passed
-    failed = {r.name: r.detail for r in report.failures()}
-    assert list(failed) == ["atilde_table"]
-    assert "block-count recursion" in failed["atilde_table"]
+    assert_payload_alone_failed(verify_document(fix_digest(doc)), "atilde")
+
+
+def _integer_paths(value, path=()):
+    """The path of every integer in a JSON value: a bare one, or a string that decodes as one."""
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _integer_paths(item, path + (key,))
+    elif not isinstance(value, bool):
+        try:
+            certdoc.decode_int(value)
+        except certdoc.ParseError:
+            return
+        yield path
+
+
+def test_an_integer_re_encoded_fails_payload_alone():
+    # decode_int_list took "5" for 5, so a construction with a list entry written as
+    # a string verified: one content had many digests.  Every integer, M and the
+    # entries of a, residues, s, b and delta among them, has one encoding.
+    doc = construction_doc(2, 1, 7)
+    paths = list(_integer_paths(doc["certificate"]))
+    assert len(paths) > 40
+    for path in paths:
+        edited = json.loads(json.dumps(doc))
+        parent = edited["certificate"]
+        for key in path[:-1]:
+            parent = parent[key]
+        value = parent[path[-1]]
+        parent[path[-1]] = str(value) if isinstance(value, int) else certdoc.decode_int(value)
+        assert_payload_alone_failed(verify_document(fix_digest(edited)), path[0])
 
 
 def test_unknown_kind_rejected():
@@ -769,6 +782,7 @@ def test_singular_matrix_fails_invertibility():
     [
         ("digest", "document already failed integrity"),
         ("forms", "forms invalid"),
+        ("A_1", "forms invalid"),
         ("k", "k invalid"),
     ],
 )
@@ -780,6 +794,8 @@ def test_unsearchable_document_reports_its_search_checks_not_run(fault, reason, 
         del doc["certificate"]["bound"]
     if fault == "forms":
         doc["certificate"]["forms"][0] = [[0, 2], [1, 0]]
+    if fault == "A_1":  # symplectic, so every stored form is still its pullback
+        doc["certificate"]["mats"][0][0][1] = 1
     if fault == "k":
         doc["certificate"]["k"] = 0
     doc = fix_digest(doc)
@@ -829,7 +845,7 @@ def test_checks_computed_before_a_malformed_field_are_kept():
     [
         (lambda: olshanskii_doc(1, 2, 3), "r", "params"),
         (lambda: construction_doc(2, 1, 7), "n", "params"),
-        (lambda: construction_doc(2, 1, 7), "M", "M"),
+        (lambda: construction_doc(2, 1, 7), "M", "payload"),
         (lambda: group_doc(1, 3, mode="structural"), "n", "params"),
         (lambda: group_doc(1, 3, mode="structural"), "max_abelian_exponent", "payload"),
         (lambda: lambda_table_doc(3, 2), "max_n", "params"),
@@ -850,8 +866,8 @@ def test_integers_past_the_digit_limit_fail_their_named_check(make_doc, field, c
     failed = {result.name: result.detail for result in report.failures()}
     assert "well_formed" not in failed, failed
     assert "16610-bit integer" in failed[check]
-    if field == "M":  # every check after M still runs
-        assert report.results[-1].name == "recorded_checks"
+    if field == "M":  # every check after payload still runs
+        assert report.results[-1].name == "abelian_bound_structural"
 
 
 @pytest.mark.parametrize("p", [0, 1, -3])

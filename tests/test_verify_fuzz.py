@@ -187,7 +187,10 @@ def _at(doc, path):
 
 
 def _single_field_edits(text):
-    """(path, new value, edited text) for every deletion, replacement and +-1 of one field.
+    """(path, new value, edited text) for every deletion, replacement, +-1 and re-encoding of one field.
+
+    An integer is re-encoded as the same value in the other JSON form: a bare
+    integer as a decimal string, and a string as a bare integer.
 
     The digest is recomputed, so only the verifier's own checks can refuse the
     edit.  ``generated_at`` lies outside the digest by design and is left out,
@@ -200,6 +203,7 @@ def _single_field_edits(text):
         news = [_DELETE, *REPLACEMENTS]
         if "bump" in _edits(value):
             news += [certdoc.encode_int(certdoc.decode_int(value) + step) for step in (-1, 1)]
+            news.append(str(value) if isinstance(value, int) else certdoc.decode_int(value))
         for new in news:
             if new is not _DELETE and certdoc.canonical_json(new) == certdoc.canonical_json(value):
                 continue
